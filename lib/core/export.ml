@@ -154,7 +154,7 @@ let chain_to_dot ?(max_states = 500) built =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph ctmc {\n  rankdir=LR;\n  node [fontname=\"Helvetica\"];\n";
   for s = 0 to n - 1 do
-    let st = built.Semantics.states.(s) in
+    let st = Semantics.state built s in
     let failed =
       Array.to_list names
       |> List.filteri (fun i _ -> not st.Semantics.up.(i))

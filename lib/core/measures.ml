@@ -46,11 +46,12 @@ let make_csl_model ~analysis ~lump built =
         levels
     @ component_labels
   in
+  let component_cost, repair_cost = Semantics.cost_structures built in
   let rewards =
     [
-      (Some "cost", Semantics.cost_structure built);
-      (Some "component_cost", Semantics.component_cost_structure built);
-      (Some "repair_cost", Semantics.repair_cost_structure built);
+      (Some "cost", Numeric.Vec.add component_cost repair_cost);
+      (Some "component_cost", component_cost);
+      (Some "repair_cost", repair_cost);
     ]
   in
   Csl.Checker.of_chain ~analysis ~lump ~labels ~rewards built.Semantics.chain
@@ -208,7 +209,7 @@ let describe_scenario t psi =
       let names = Array.of_list (Model.component_names built.Semantics.model) in
       let rec diffs = function
         | a :: (b :: _ as rest) ->
-            let sa = built.Semantics.states.(a) and sb = built.Semantics.states.(b) in
+            let sa = Semantics.state built a and sb = Semantics.state built b in
             let events = ref [] in
             Array.iteri
               (fun i name ->

@@ -1,6 +1,6 @@
 module Vec = Numeric.Vec
-module Sparse = Numeric.Sparse
 module Chain = Ctmc.Chain
+module Explore = Ctmc.Explore
 
 type state = {
   up : bool array;
@@ -15,14 +15,6 @@ type state = {
          mode; only meaningful while the component is down) *)
 }
 
-type built = {
-  model : Model.t;
-  chain : Chain.t;
-  states : state array;
-  component_index : string -> int;
-  state_index : state -> int option;
-}
-
 exception Build_error of string
 
 let () =
@@ -32,42 +24,75 @@ let () =
 
 let error fmt = Printf.ksprintf (fun msg -> raise (Build_error msg)) fmt
 
-(* Static per-model data precomputed once per build. *)
+(* ---- packed states -------------------------------------------------------
+   A state is a fixed number of int words holding bit fields that never
+   straddle a word: per component an up bit, the failure-mode index, the
+   completed-stage count and (for units that share crews) an in-repair
+   flag; per repair unit one queue slot per member that can wait, holding
+   the member's position + 1 (0 = empty), queue head first. A zero-width
+   field reads as 0. *)
+
+type field = { word : int; shift : int; mask : int }
+
+let get code f = (Array.unsafe_get code f.word lsr f.shift) land f.mask
+
+let set code f v =
+  Array.unsafe_set code f.word
+    (Array.unsafe_get code f.word land lnot (f.mask lsl f.shift) lor (v lsl f.shift))
+
+let word_bits = 62
+
+(* bits needed to hold the values 0..v *)
+let rec bits_for ?(b = 0) v = if v lsr b = 0 then b else bits_for ~b:(b + 1) v
+
+let max_stages modes =
+  Array.fold_left (fun acc fm -> max acc fm.Component.fm_repair_stages) 1 modes
+
+(* Static per-model data, compiled once per build. *)
 type ctx = {
   comps : Component.t array;
   modes : Component.failure_mode array array; (* per component *)
   index : (string, int) Hashtbl.t;
   rus : Repair.t array;
-  ru_of : int option array; (* repair-unit index per component *)
+  ru_of : int array; (* repair-unit index per component, -1 when none *)
   rank : int array array;
       (* scheduling rank per component and failure mode (0 when no RU);
          under FRF/FFF the mode determines the repair/failure rate and
          hence the priority *)
-  smu_of : Spare.t option array;
+  dedicated : bool array; (* per unit *)
+  preemptive : bool array; (* per unit; false for dedicated units *)
+  members : int array array; (* per unit, in the unit's declaration order *)
+  position : int array; (* per component, its position in [members] *)
+  fail_rate : float array array; (* per component and mode *)
+  dormant_rate : float array array; (* the same, times the spare dormancy *)
+  stage_rate : float array array;
+  spare_before : int array array;
+      (* per component, the members before it in its spare unit *)
+  spare_needed : int array; (* its spare unit's primary count (1 if none) *)
+  words : int;
+  up_f : field array;
+  mode_f : field array;
+  stage_f : field array;
+  busy_f : field array;
+  slot_f : field array array; (* per unit, one per member *)
 }
 
 let make_ctx model =
   let comps = Array.of_list model.Model.components in
-  let index = Hashtbl.create (Array.length comps) in
+  let n = Array.length comps in
+  let index = Hashtbl.create n in
   Array.iteri (fun i c -> Hashtbl.replace index c.Component.name i) comps;
+  let find name = Hashtbl.find index name in
   let modes = Array.map (fun c -> Array.of_list (Component.modes c)) comps in
   let rus = Array.of_list model.Model.repair_units in
-  let n = Array.length comps in
-  let ru_of = Array.make n None in
-  Array.iteri
-    (fun u ru ->
-      List.iter
-        (fun name -> ru_of.(Hashtbl.find index name) <- Some u)
-        ru.Repair.components)
-    rus;
+  let members = Array.map (fun ru -> Array.of_list (List.map find ru.Repair.components)) rus in
+  let ru_of = Array.make n (-1) and position = Array.make n 0 in
+  Array.iteri (fun u -> Array.iteri (fun k i -> ru_of.(i) <- u; position.(i) <- k)) members;
   (* per-unit rank tables: distinct rate values across every (component,
      mode) pair of the unit, ascending *)
-  let rank = Array.init n (fun i -> Array.make (Array.length modes.(i)) 0) in
+  let rank = Array.map (Array.map (fun _ -> 0)) modes in
   Array.iteri
     (fun u ru ->
-      let members =
-        List.map (fun name -> Hashtbl.find index name) ru.Repair.components
-      in
       let value_of i m =
         match ru.Repair.strategy with
         | Repair.Dedicated | Repair.Fcfs -> 0.
@@ -77,226 +102,361 @@ let make_ctx model =
             let rec position p = function
               | [] -> 0.
               | c :: rest ->
-                  if c = comps.(i).Component.name then float_of_int p
-                  else position (p + 1) rest
+                  if c = comps.(i).Component.name then float_of_int p else position (p + 1) rest
             in
             position 0 order
       in
-      let values =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun i ->
-               List.init (Array.length modes.(i)) (fun m -> value_of i m))
-             members)
+      let pairs i = List.init (Array.length modes.(i)) (fun m -> value_of i m) in
+      let values = List.sort_uniq compare (List.concat_map pairs (Array.to_list members.(u))) in
+      let rec rank_of p v = function
+        | [] -> 0
+        | x :: rest -> if x = v then p else rank_of (p + 1) v rest
       in
-      let rank_of v =
-        let rec position p = function
-          | [] -> 0
-          | x :: rest -> if x = v then p else position (p + 1) rest
-        in
-        position 0 values
-      in
-      List.iter
+      Array.iter
         (fun i ->
-          Array.iteri (fun m _ -> rank.(i).(m) <- rank_of (value_of i m)) modes.(i))
-        members;
-      ignore u)
+          Array.iteri (fun m _ -> rank.(i).(m) <- rank_of 0 (value_of i m) values) modes.(i))
+        members.(u))
     rus;
-  let smu_of =
-    Array.init n (fun i ->
-        Model.spare_unit_of model comps.(i).Component.name)
+  let dedicated = Array.map (fun ru -> ru.Repair.strategy = Repair.Dedicated) rus in
+  let preemptive = Array.mapi (fun u ru -> (not dedicated.(u)) && ru.Repair.preemptive) rus in
+  let spare = Array.map (fun c -> Model.spare_unit_of model c.Component.name) comps in
+  let spare_before i =
+    match spare.(i) with
+    | None -> [||]
+    | Some smu ->
+        let rec before = function [] -> [] | c :: rest -> if c = i then [] else c :: before rest in
+        Array.of_list (before (List.map find (Spare.members smu)))
   in
-  { comps; modes; index; rus; ru_of; rank; smu_of }
-
-(* the scheduling rank of a failed component in a given state *)
-let current_rank ctx state i = ctx.rank.(i).(state.failed_mode.(i))
+  let rates factor =
+    Array.mapi (fun i -> Array.map (fun fm -> Component.mode_failure_rate fm *. factor i)) modes
+  in
+  (* the layout: fields packed greedily into words of [word_bits] bits *)
+  let words = ref 1 and used = ref 0 in
+  let field width =
+    if width = 0 then { word = 0; shift = 0; mask = 0 }
+    else begin
+      if !used + width > word_bits then begin
+        incr words;
+        used := 0
+      end;
+      used := !used + width;
+      { word = !words - 1; shift = !used - width; mask = (1 lsl width) - 1 }
+    end
+  in
+  let per_component f = Array.init n f in
+  let up_f = per_component (fun _ -> field 1) in
+  let mode_f = per_component (fun i -> field (bits_for (Array.length modes.(i) - 1))) in
+  let stage_f = per_component (fun i -> field (bits_for (max_stages modes.(i) - 1))) in
+  let busy_f =
+    per_component (fun i ->
+        let u = ru_of.(i) in
+        field (if u >= 0 && not (dedicated.(u) || preemptive.(u)) then 1 else 0))
+  in
+  (* A preemptive queue holds every failed member; a shared-crew queue
+     only those waiting while all crews are busy. A queue that fits in one
+     word is laid out as one block, so that shifting it is a couple of
+     word operations. *)
+  let slot_f =
+    Array.mapi
+      (fun u ms ->
+        let width = bits_for (Array.length ms) in
+        let k =
+          if dedicated.(u) then 0
+          else if preemptive.(u) then Array.length ms
+          else max 0 (Array.length ms - rus.(u).Repair.crews)
+        in
+        if k * width <= word_bits then
+          let block = field (k * width) in
+          Array.init k (fun j ->
+              { block with shift = block.shift + (j * width); mask = (1 lsl width) - 1 })
+        else Array.init k (fun _ -> field width))
+      members
+  in
+  {
+    comps; modes; index; rus; ru_of; rank; dedicated; preemptive; members; position;
+    fail_rate = rates (fun _ -> 1.);
+    dormant_rate =
+      rates (fun i -> match spare.(i) with None -> 1. | Some smu -> Spare.dormancy_factor smu);
+    stage_rate = Array.map (Array.map Component.mode_stage_rate) modes;
+    spare_before = per_component spare_before;
+    spare_needed =
+      Array.map (function None -> 1 | Some smu -> List.length smu.Spare.primaries) spare;
+    words = !words; up_f; mode_f; stage_f; busy_f; slot_f;
+  }
 
 let component_count ctx = Array.length ctx.comps
 
-(* Failure-rate multiplier of component [i] in a state: 1 unless the
-   component is a dormant member of a spare unit. *)
-let failure_factor ctx state i =
-  match ctx.smu_of.(i) with
-  | None -> 1.
-  | Some smu ->
-      let up name = state.up.(Hashtbl.find ctx.index name) in
-      let assignments = Spare.active_set smu ~up in
-      let name = ctx.comps.(i).Component.name in
-      let active = try List.assoc name assignments with Not_found -> false in
-      if active then 1. else Spare.dormancy_factor smu
+let is_up ctx code i = get code ctx.up_f.(i) = 1
 
-let is_dedicated ru = ru.Repair.strategy = Repair.Dedicated
+(* ---- encode / decode ---------------------------------------------------- *)
 
-(* The set of components a unit is currently repairing. *)
-let repairing ctx state u =
-  let ru = ctx.rus.(u) in
-  if is_dedicated ru then
-    List.filter_map
-      (fun name ->
-        let i = Hashtbl.find ctx.index name in
-        if state.up.(i) then None else Some i)
-      ru.Repair.components
-  else if ru.Repair.preemptive then begin
-    (* the canonical queue is rank-sorted with FCFS inside each class, so
-       the crews work on its prefix *)
-    let rec take k = function
-      | [] -> []
-      | i :: rest -> if k = 0 then [] else i :: take (k - 1) rest
-    in
-    take ru.Repair.crews state.queue.(u)
-  end
-  else state.in_repair.(u)
-
-(* Pick the most urgent waiting component: the canonical queue's head
-   (minimal rank, earliest arrival within its rank class). *)
-let pick_next queue =
-  match queue with [] -> None | chosen :: rest -> Some (chosen, rest)
-
-(* Queues are kept in canonical form: stably sorted by scheduling rank.
-   Dispatch only ever takes the queue head (minimal rank, earliest arrival
-   within its rank class), so two states whose queues differ only in the
-   interleaving of different rank classes are bisimilar; canonicalizing at
-   insertion collapses them and shrinks the state space by orders of
-   magnitude on models with many rate classes. *)
-let enqueue ctx state queue i =
-  let rank = current_rank ctx state i in
-  let rec go = function
-    | [] -> [ i ]
-    | x :: rest as full ->
-        if current_rank ctx state x > rank then i :: full else x :: go rest
+let encode ctx st =
+  let n = component_count ctx and nru = Array.length ctx.rus in
+  if Array.length st.up <> n then error "build: initial state has wrong component count";
+  let invalid fmt = Printf.ksprintf (fun msg -> error "initial state: %s" msg) fmt in
+  List.iter
+    (fun (what, len, expected) ->
+      if len <> expected then invalid "%s has length %d, expected %d" what len expected)
+    [
+      ("stage", Array.length st.stage, n); ("failed_mode", Array.length st.failed_mode, n);
+      ("in_repair", Array.length st.in_repair, nru); ("queue", Array.length st.queue, nru);
+    ];
+  let code = Array.make ctx.words 0 in
+  let put what f i v limit =
+    if v < 0 || v >= limit then
+      invalid "%s of %s is %d, outside [0, %d)" what ctx.comps.(i).Component.name v limit;
+    set code f v
   in
-  go queue
-
-let insert_sorted i l =
-  let rec go = function
-    | [] -> [ i ]
-    | x :: rest as full -> if i < x then i :: full else x :: go rest
-  in
-  go l
-
-let copy_state state =
-  {
-    up = Array.copy state.up;
-    in_repair = Array.copy state.in_repair;
-    queue = Array.copy state.queue;
-    stage = Array.copy state.stage;
-    failed_mode = Array.copy state.failed_mode;
-  }
-
-(* Transitions out of a state: (rate, successor) list. *)
-let successors ctx state =
-  let n = component_count ctx in
-  let out = ref [] in
-  (* failures: one transition per failure mode *)
   for i = 0 to n - 1 do
-    if state.up.(i) then begin
-      let factor = failure_factor ctx state i in
-      if factor > 0. then
-        Array.iteri
-          (fun m fm ->
-            let rate = Component.mode_failure_rate fm *. factor in
-            let s' = copy_state state in
-            s'.up.(i) <- false;
-            s'.failed_mode.(i) <- m;
-            (match ctx.ru_of.(i) with
-            | None -> ()
-            | Some u ->
-                let ru = ctx.rus.(u) in
-                if is_dedicated ru then ()
-                else if ru.Repair.preemptive then
-                  s'.queue.(u) <- enqueue ctx s' s'.queue.(u) i
-                else if List.length s'.in_repair.(u) < ru.Repair.crews then
-                  s'.in_repair.(u) <- insert_sorted i s'.in_repair.(u)
-                else s'.queue.(u) <- enqueue ctx s' s'.queue.(u) i);
-            out := (rate, s') :: !out)
-          ctx.modes.(i)
-    end
+    put "up" ctx.up_f.(i) i (if st.up.(i) then 1 else 0) 2;
+    put "failed_mode" ctx.mode_f.(i) i st.failed_mode.(i) (Array.length ctx.modes.(i));
+    put "stage" ctx.stage_f.(i) i st.stage.(i) (max_stages ctx.modes.(i))
   done;
-  (* repair progress and completions. Repairs are Erlang-[k] distributed:
-     each of the [k] stages completes at rate [k / mttr]; the state tracks
-     the completed-stage count, so an interrupted repair resumes where it
-     stopped (preemptive-resume; for k = 1 this is the memoryless case). *)
   Array.iteri
     (fun u ru ->
-      List.iter
-        (fun i ->
-          let fm = ctx.modes.(i).(state.failed_mode.(i)) in
-          let stages = fm.Component.fm_repair_stages in
-          let rate = Component.mode_stage_rate fm in
-          if state.stage.(i) < stages - 1 then begin
-            (* an intermediate stage completes *)
-            let s' = copy_state state in
-            s'.stage.(i) <- s'.stage.(i) + 1;
-            out := (rate, s') :: !out
-          end
-          else begin
-            (* the final stage completes: the component is repaired *)
-            let s' = copy_state state in
-            s'.up.(i) <- true;
-            s'.stage.(i) <- 0;
-            s'.failed_mode.(i) <- 0;
-            if is_dedicated ru then ()
-            else if ru.Repair.preemptive then
-              s'.queue.(u) <- List.filter (fun j -> j <> i) s'.queue.(u)
-            else begin
-              s'.in_repair.(u) <- List.filter (fun j -> j <> i) s'.in_repair.(u);
-              let rec dispatch () =
-                if List.length s'.in_repair.(u) < ru.Repair.crews then
-                  match pick_next s'.queue.(u) with
-                  | None -> ()
-                  | Some (chosen, rest) ->
-                      s'.in_repair.(u) <- insert_sorted chosen s'.in_repair.(u);
-                      s'.queue.(u) <- rest;
-                      dispatch ()
-              in
-              dispatch ()
-            end;
-            out := (rate, s') :: !out
-          end)
-        (repairing ctx state u))
+      let name = ru.Repair.name in
+      (* entry [i] of unit [u]'s list [what], after the entries [earlier] *)
+      let member what earlier i =
+        if i < 0 || i >= n then invalid "%s of unit %s holds component index %d" what name i;
+        let c = ctx.comps.(i).Component.name in
+        if ctx.ru_of.(i) <> u then
+          invalid "%s of unit %s holds %s, which it does not repair" what name c;
+        if st.up.(i) then invalid "%s of unit %s holds %s, which is up" what name c;
+        if List.mem i earlier then invalid "%s of unit %s lists %s twice" what name c
+      in
+      if st.in_repair.(u) <> [] && (ctx.dedicated.(u) || ctx.preemptive.(u)) then
+        invalid "in_repair of unit %s must be empty (%s unit)" name
+          (if ctx.dedicated.(u) then "dedicated" else "preemptive");
+      let waiting = List.length st.queue.(u) and slots = Array.length ctx.slot_f.(u) in
+      if waiting > slots then
+        invalid "queue of unit %s holds %d components; at most %d can wait" name waiting slots;
+      if List.sort_uniq compare st.in_repair.(u) <> st.in_repair.(u) then
+        invalid "in_repair of unit %s is not strictly ascending" name;
+      ignore
+        (List.fold_left
+           (fun earlier i ->
+             member "in_repair" earlier i;
+             set code ctx.busy_f.(i) 1;
+             i :: earlier)
+           [] st.in_repair.(u));
+      ignore
+        (List.fold_left
+           (fun earlier i ->
+             member "queue" earlier i;
+             set code ctx.slot_f.(u).(List.length earlier) (ctx.position.(i) + 1);
+             i :: earlier)
+           [] st.queue.(u)))
     ctx.rus;
-  !out
+  code
 
-(* Canonical string encoding of a state, used as the hash key (the default
-   polymorphic hash only inspects a bounded prefix of the structure, which
-   would degenerate on large state vectors). *)
-let encode state =
-  let buf = Buffer.create 64 in
-  Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) state.up;
-  Array.iter
-    (fun l ->
-      Buffer.add_char buf '|';
-      List.iter
-        (fun i ->
-          Buffer.add_string buf (string_of_int i);
-          Buffer.add_char buf ',')
-        l)
-    state.in_repair;
-  Array.iter
-    (fun l ->
-      Buffer.add_char buf '/';
-      List.iter
-        (fun i ->
-          Buffer.add_string buf (string_of_int i);
-          Buffer.add_char buf ',')
-        l)
-    state.queue;
-  Array.iter
-    (fun k ->
-      if k > 0 then begin
-        Buffer.add_char buf '.';
-        Buffer.add_string buf (string_of_int k)
+let queue_member ctx code u k =
+  let v = get code ctx.slot_f.(u).(k) in
+  if v = 0 then -1 else ctx.members.(u).(v - 1)
+
+let queue_length ctx code u =
+  let slots = ctx.slot_f.(u) and k = ref 0 in
+  while !k < Array.length slots && get code slots.(!k) <> 0 do
+    incr k
+  done;
+  !k
+
+let decode ctx code =
+  let n = component_count ctx in
+  let in_repair u =
+    List.filter (fun i -> ctx.ru_of.(i) = u && get code ctx.busy_f.(i) = 1) (List.init n Fun.id)
+  in
+  let queue u = List.init (queue_length ctx code u) (queue_member ctx code u) in
+  {
+    up = Array.init n (is_up ctx code);
+    in_repair = Array.init (Array.length ctx.rus) in_repair;
+    queue = Array.init (Array.length ctx.rus) queue;
+    stage = Array.init n (fun i -> get code ctx.stage_f.(i));
+    failed_mode = Array.init n (fun i -> get code ctx.mode_f.(i));
+  }
+
+(* ---- transitions ----------------------------------------------------------
+   Scheduling follows {!Repair}. Queues are kept in canonical form: stably
+   sorted by scheduling rank. Dispatch only ever takes the queue head
+   (minimal rank, earliest arrival within its rank class), so two states
+   whose queues differ only in the interleaving of different rank classes
+   are bisimilar; canonicalizing at insertion collapses them and shrinks
+   the state space by orders of magnitude on models with many rate
+   classes. *)
+
+(* The helpers below run per transition: plain loops, no closures. *)
+
+let current_rank ctx code i = ctx.rank.(i).(get code ctx.mode_f.(i))
+
+(* copy [len] queue slots from [src] to [dst], one slot away *)
+let shift_slots ctx code u ~dst ~src ~len =
+  let slots = ctx.slot_f.(u) in
+  if len <= 0 then ()
+  else if slots.(0).word = slots.(Array.length slots - 1).word then begin
+    let first = slots.(0) in
+    (* one block in one word: move the bits of the [len] slots at once *)
+    let width = slots.(1).shift - first.shift in
+    let from = first.shift + (src * width) and into = first.shift + (dst * width) in
+    let bits = (1 lsl (len * width)) - 1 in
+    let x = Array.unsafe_get code first.word in
+    Array.unsafe_set code first.word
+      (x land lnot (bits lsl into) lor (((x lsr from) land bits) lsl into))
+  end
+  else if dst < src then
+    for k = 0 to len - 1 do
+      set code slots.(dst + k) (get code slots.(src + k))
+    done
+  else
+    for k = len - 1 downto 0 do
+      set code slots.(dst + k) (get code slots.(src + k))
+    done
+
+(* drop slot [k] of a queue of length [len], closing the gap *)
+let remove_slot ctx code u k len =
+  shift_slots ctx code u ~dst:k ~src:(k + 1) ~len:(len - k - 1);
+  set code ctx.slot_f.(u).(len - 1) 0
+
+let busy_count ctx code u =
+  let ms = ctx.members.(u) and busy = ref 0 in
+  for k = 0 to Array.length ms - 1 do
+    busy := !busy + get code ctx.busy_f.(ms.(k))
+  done;
+  !busy
+
+(* An operational member of a spare unit is dormant when at least as many
+   members before it (primaries first, then spares in order) are up as
+   the unit has primaries. *)
+let dormant ctx code i =
+  let before = ctx.spare_before.(i) and ups = ref 0 in
+  for k = 0 to Array.length before - 1 do
+    if is_up ctx code before.(k) then incr ups
+  done;
+  !ups >= ctx.spare_needed.(i)
+
+(* Per-expansion scratch: the successor being built, and per unit the
+   source state's busy-crew count, queue length and the ranks of its
+   queued components. *)
+type scratch = { next : int array; busy : int array; len : int array; ranks : int array array }
+
+(* insert [i] into unit [u]'s queue after every queued component of rank
+   <= its own *)
+let enqueue ctx code sc u i =
+  let r = current_rank ctx code i and ranks = sc.ranks.(u) and len = sc.len.(u) in
+  let k = ref 0 in
+  while !k < len && ranks.(!k) <= r do
+    incr k
+  done;
+  shift_slots ctx code u ~dst:(!k + 1) ~src:!k ~len:(len - !k);
+  set code ctx.slot_f.(u).(!k) (ctx.position.(i) + 1)
+
+let copy ctx code next =
+  for k = 0 to ctx.words - 1 do
+    Array.unsafe_set next k (Array.unsafe_get code k)
+  done
+
+(* Repairs are Erlang-[k] distributed: each of the [k] stages completes at
+   rate [k / mttr]; the state tracks the completed-stage count, so an
+   interrupted repair resumes where it stopped (preemptive-resume; for
+   k = 1 this is the memoryless case). A preemptive unit repairs queue
+   slot [k]. *)
+let repair_step ctx code sc emit u i k =
+  let next = sc.next and m = get code ctx.mode_f.(i) and stage = get code ctx.stage_f.(i) in
+  copy ctx code next;
+  if stage < ctx.modes.(i).(m).Component.fm_repair_stages - 1 then
+    set next ctx.stage_f.(i) (stage + 1)
+  else begin
+    set next ctx.up_f.(i) 1;
+    set next ctx.stage_f.(i) 0;
+    set next ctx.mode_f.(i) 0;
+    if ctx.dedicated.(u) then ()
+    else if ctx.preemptive.(u) then remove_slot ctx next u k sc.len.(u)
+    else begin
+      (* the freed crew takes the queue head, as long as crews are free *)
+      set next ctx.busy_f.(i) 0;
+      let busy = ref (sc.busy.(u) - 1) and len = ref sc.len.(u) in
+      while !busy < ctx.rus.(u).Repair.crews && !len > 0 do
+        set next ctx.busy_f.(queue_member ctx next u 0) 1;
+        remove_slot ctx next u 0 !len;
+        incr busy;
+        decr len
+      done
+    end
+  end;
+  emit next ctx.stage_rate.(i).(m)
+
+let failure ctx code sc emit i m rates =
+  let next = sc.next and u = ctx.ru_of.(i) in
+  copy ctx code next;
+  set next ctx.up_f.(i) 0;
+  set next ctx.mode_f.(i) m;
+  if u < 0 || ctx.dedicated.(u) then ()
+  else if ctx.preemptive.(u) then enqueue ctx next sc u i
+  else if sc.busy.(u) < ctx.rus.(u).Repair.crews then set next ctx.busy_f.(i) 1
+  else enqueue ctx next sc u i;
+  emit next rates.(m)
+
+(* Transitions out of a state. The emission order fixes the state
+   numbering (breadth-first, successors numbered as first emitted):
+   repairs of the last unit first, each unit's repair list from its end
+   (a shared-crew unit's list is ascending by component), then failures
+   from the last component and its last mode. *)
+let expand ctx =
+  let nru = Array.length ctx.rus in
+  let sc =
+    {
+      next = Array.make ctx.words 0;
+      busy = Array.make nru 0;
+      len = Array.make nru 0;
+      ranks = Array.map (fun ms -> Array.make (Array.length ms) 0) ctx.members;
+    }
+  in
+  fun code emit ->
+    for u = 0 to nru - 1 do
+      if not ctx.dedicated.(u) then begin
+        sc.len.(u) <- queue_length ctx code u;
+        for k = 0 to sc.len.(u) - 1 do
+          sc.ranks.(u).(k) <- current_rank ctx code (queue_member ctx code u k)
+        done;
+        if not ctx.preemptive.(u) then sc.busy.(u) <- busy_count ctx code u
       end
-      else Buffer.add_char buf '-')
-    state.stage;
-  Array.iter
-    (fun m ->
-      if m > 0 then begin
-        Buffer.add_char buf 'm';
-        Buffer.add_string buf (string_of_int m)
-      end)
-    state.failed_mode;
-  Buffer.contents buf
+    done;
+    for u = nru - 1 downto 0 do
+      if ctx.dedicated.(u) then begin
+        let ms = ctx.members.(u) in
+        for k = Array.length ms - 1 downto 0 do
+          if not (is_up ctx code ms.(k)) then repair_step ctx code sc emit u ms.(k) k
+        done
+      end
+      else if ctx.preemptive.(u) then
+        for k = min ctx.rus.(u).Repair.crews sc.len.(u) - 1 downto 0 do
+          repair_step ctx code sc emit u (queue_member ctx code u k) k
+        done
+      else
+        for i = component_count ctx - 1 downto 0 do
+          if ctx.ru_of.(i) = u && get code ctx.busy_f.(i) = 1 then
+            repair_step ctx code sc emit u i 0
+        done
+    done;
+    (* a dormant cold spare fails at rate 0, which the explorer ignores *)
+    for i = component_count ctx - 1 downto 0 do
+      if is_up ctx code i then begin
+        let rates = if dormant ctx code i then ctx.dormant_rate.(i) else ctx.fail_rate.(i) in
+        for m = Array.length rates - 1 downto 0 do
+          failure ctx code sc emit i m rates
+        done
+      end
+    done
+
+(* ---- building ------------------------------------------------------------ *)
+
+type space = { ctx : ctx; explored : Explore.t; down : int -> bool; level : int -> float }
+
+type built = {
+  model : Model.t;
+  chain : Chain.t;
+  component_index : string -> int;
+  state_index : state -> int option;
+  space : space;
+}
 
 let all_up_state model =
   let n = List.length model.Model.components in
@@ -309,171 +469,162 @@ let all_up_state model =
     failed_mode = Array.make n 0;
   }
 
+let component_of ?(what = "unknown component") ctx name =
+  match Hashtbl.find_opt ctx.index name with Some i -> i | None -> error "%s %s" what name
+
+let mode_index ctx i mode_name =
+  let rec position m =
+    if m >= Array.length ctx.modes.(i) then
+      error "unknown failure mode %s:%s" ctx.comps.(i).Component.name mode_name
+    else if ctx.modes.(i).(m).Component.fm_name = mode_name then m
+    else position (m + 1)
+  in
+  position 0
+
 let disaster_state model ~failed =
   let ctx = make_ctx model in
-  let n = component_count ctx in
   let state = all_up_state model in
   List.iter
     (fun literal ->
       let name, mode_name = Model.split_literal literal in
-      match Hashtbl.find_opt ctx.index name with
-      | Some i ->
-          state.up.(i) <- false;
-          (match mode_name with
-          | None -> state.failed_mode.(i) <- 0
-          | Some mn ->
-              let rec position m = function
-                | [] -> error "disaster_state: %s has no failure mode %s" name mn
-                | fm :: rest ->
-                    if fm.Component.fm_name = mn then m else position (m + 1) rest
-              in
-              state.failed_mode.(i) <- position 0 (Array.to_list ctx.modes.(i)))
-      | None -> error "disaster_state: unknown component %s" name)
+      let i = component_of ~what:"disaster_state: unknown component" ctx name in
+      state.up.(i) <- false;
+      state.failed_mode.(i) <-
+        (match mode_name with
+        | None -> 0
+        | Some mn -> (
+            try mode_index ctx i mn
+            with Build_error _ -> error "disaster_state: %s has no failure mode %s" name mn)))
     failed;
   (* queue construction per unit: failed members ordered by (rank, model
      order); crews dispatched to the head *)
+  let rank i = ctx.rank.(i).(state.failed_mode.(i)) in
   Array.iteri
     (fun u ru ->
-      if not (is_dedicated ru) then begin
-        let failed_members = ref [] in
-        for i = n - 1 downto 0 do
-          if (not state.up.(i)) && ctx.ru_of.(i) = Some u then
-            failed_members := i :: !failed_members
-        done;
-        let ordered =
-          List.stable_sort
-            (fun a b -> compare (current_rank ctx state a) (current_rank ctx state b))
-            !failed_members
-        in
-        if ru.Repair.preemptive then state.queue.(u) <- ordered
-        else begin
-          let rec split k = function
-            | [] -> ([], [])
-            | x :: rest ->
-                if k = 0 then ([], x :: rest)
-                else
-                  let taken, waiting = split (k - 1) rest in
-                  (x :: taken, waiting)
-          in
-          let taken, waiting = split ru.Repair.crews ordered in
-          state.in_repair.(u) <- List.sort compare taken;
-          state.queue.(u) <- waiting
-        end
+      let failed_members =
+        List.filter
+          (fun i -> (not state.up.(i)) && ctx.ru_of.(i) = u)
+          (List.init (component_count ctx) Fun.id)
+      in
+      let ordered = List.stable_sort (fun a b -> compare (rank a) (rank b)) failed_members in
+      if ctx.dedicated.(u) then ()
+      else if ctx.preemptive.(u) then state.queue.(u) <- ordered
+      else begin
+        let taken = List.filteri (fun k _ -> k < ru.Repair.crews) ordered in
+        state.in_repair.(u) <- List.sort compare taken;
+        state.queue.(u) <- List.filteri (fun k _ -> k >= ru.Repair.crews) ordered
       end)
     ctx.rus;
   state
 
+(* a field of the stored code of state [s] *)
+let stored (codes : Explore.codes) w s f =
+  (Bigarray.Array1.unsafe_get codes ((s * w) + f.word) lsr f.shift) land f.mask
+
+(* fault-tree literal evaluation over state indices: "c" is true when the
+   component is failed in any mode; "c:m" when it is failed in that
+   specific mode *)
+let literal_at ctx explored literal =
+  let name, mode_name = Model.split_literal literal in
+  let i = component_of ctx name in
+  let codes = Explore.codes explored and w = ctx.words and up = ctx.up_f.(i) in
+  match mode_name with
+  | None -> fun s -> stored codes w s up = 0
+  | Some mn ->
+      let m = mode_index ctx i mn and mode = ctx.mode_f.(i) in
+      fun s -> stored codes w s up = 0 && stored codes w s mode = m
+
 let build ?(max_states = 5_000_000) ?initial model =
   let ctx = make_ctx model in
   let initial = match initial with Some s -> s | None -> all_up_state model in
-  if Array.length initial.up <> component_count ctx then
-    error "build: initial state has wrong component count";
-  let table : (string, int) Hashtbl.t = Hashtbl.create 4096 in
-  let states_rev = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern s =
-    let key = encode s in
-    match Hashtbl.find_opt table key with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        if i >= max_states then error "state space exceeds max_states = %d" max_states;
-        Hashtbl.replace table key i;
-        states_rev := s :: !states_rev;
-        incr count;
-        Queue.add (s, i) queue;
-        i
+  let explored =
+    try
+      Explore.run ~words:ctx.words ~max_states ~initial:(encode ctx initial)
+        ~expand:(expand ctx)
+    with Explore.State_limit limit -> error "state space exceeds max_states = %d" limit
   in
-  ignore (intern initial);
-  let transitions = ref [] in
-  while not (Queue.is_empty queue) do
-    let s, i = Queue.pop queue in
-    List.iter
-      (fun (rate, s') ->
-        let j = intern s' in
-        if i <> j then transitions := (i, j, rate) :: !transitions)
-      (successors ctx s)
-  done;
-  let n = !count in
-  let states = Array.make n initial in
-  List.iteri (fun k s -> states.(n - 1 - k) <- s) !states_rev;
-  let b = Sparse.Builder.create ~rows:n ~cols:n in
-  List.iter (fun (i, j, r) -> Sparse.Builder.add b i j r) !transitions;
-  let chain = Chain.make ~init:(Vec.unit n 0) (Sparse.Builder.to_csr b) in
+  let n = Explore.states explored in
+  let literal = literal_at ctx explored in
+  let level =
+    Fault_tree.compile_quantitative (Model.service_tree model) (fun lit ->
+        let failed = literal lit in
+        fun s -> if failed s then 0. else 1.)
+  in
   {
     model;
-    chain;
-    states;
-    component_index =
-      (fun name ->
-        match Hashtbl.find_opt ctx.index name with
-        | Some i -> i
-        | None -> error "unknown component %s" name);
-    state_index = (fun s -> Hashtbl.find_opt table (encode s));
+    chain = Chain.make ~init:(Vec.unit n 0) (Explore.rates explored);
+    space = { ctx; explored; down = Fault_tree.compile model.Model.fault_tree literal; level };
+    component_index = component_of ctx;
+    state_index =
+      (fun st ->
+        match encode ctx st with
+        | code -> Explore.find explored code
+        | exception Build_error _ -> None);
   }
 
+(* ---- per-state observations ---------------------------------------------- *)
+
+let state built s = decode built.space.ctx (Explore.code built.space.explored s)
+
 let component_up built s name =
-  built.states.(s).up.(built.component_index name)
+  let ctx = built.space.ctx in
+  stored (Explore.codes built.space.explored) ctx.words s ctx.up_f.(built.component_index name)
+  = 1
 
-(* fault-tree literal evaluation: "c" is true when the component is failed
-   in any mode; "c:m" when it is failed in that specific mode *)
-let literal_pred built literal =
-  let name, mode_name = Model.split_literal literal in
-  let i = built.component_index name in
-  match mode_name with
-  | None -> fun s -> not built.states.(s).up.(i)
-  | Some mn ->
-      let comp = Model.component built.model name in
-      let rec position m = function
-        | [] -> Build_error (Printf.sprintf "unknown failure mode %s:%s" name mn) |> raise
-        | fm :: rest -> if fm.Component.fm_name = mn then m else position (m + 1) rest
-      in
-      let mode_index = position 0 (Component.modes comp) in
-      fun s ->
-        let st = built.states.(s) in
-        (not st.up.(i)) && st.failed_mode.(i) = mode_index
+let literal_pred built literal = literal_at built.space.ctx built.space.explored literal
 
-let truth_of_state built s =
-  fun literal -> literal_pred built literal s
+let down_pred built = built.space.down
 
-let down_pred built s = Fault_tree.eval built.model.Model.fault_tree (truth_of_state built s)
+let operational_pred built =
+  let down = built.space.down in
+  fun s -> not (down s)
 
-let operational_pred built s = not (down_pred built s)
-
-let service_level built s =
-  let tree = Model.service_tree built.model in
-  let truth = truth_of_state built s in
-  Fault_tree.eval_quantitative tree (fun literal -> if truth literal then 0. else 1.)
+let service_level built = built.space.level
 
 let service_at_least built x =
-  fun s -> service_level built s >= x -. 1e-9
+  let level = built.space.level in
+  fun s -> level s >= x -. 1e-9
+
+(* The components a unit is repairing: every failed member of a dedicated
+   unit, the queue prefix a preemptive unit's crews work on, the in-repair
+   list otherwise. *)
+let repairing ctx st u =
+  if ctx.dedicated.(u) then List.filter (fun i -> not st.up.(i)) (Array.to_list ctx.members.(u))
+  else if ctx.preemptive.(u) then
+    List.filteri (fun k _ -> k < ctx.rus.(u).Repair.crews) st.queue.(u)
+  else st.in_repair.(u)
 
 let under_repair built s =
-  let ctx = make_ctx built.model in
-  let state = built.states.(s) in
-  List.concat (List.init (Array.length ctx.rus) (fun u -> repairing ctx state u))
+  let st = state built s in
+  List.concat (List.init (Array.length built.space.ctx.rus) (repairing built.space.ctx st))
 
-(* Cost structures. The context is rebuilt per call; these run once per
-   analysis, over every state, so we inline the loop. *)
+(* The paper's cost model per state: component costs (failed / operational
+   rates) and, per repair unit, busy crews times busy cost plus idle crews
+   times idle cost. *)
 let cost_structures built =
-  let ctx = make_ctx built.model in
-  let n = Array.length built.states in
-  let comp_cost = Vec.zeros n in
-  let ru_cost = Vec.zeros n in
+  let ctx = built.space.ctx and explored = built.space.explored in
+  let n = Explore.states explored in
+  let comp_cost = Vec.zeros n and ru_cost = Vec.zeros n in
+  let code = Array.make ctx.words 0 in
   for s = 0 to n - 1 do
-    let state = built.states.(s) in
-    Array.iteri
-      (fun i c ->
-        comp_cost.(s) <-
-          comp_cost.(s)
-          +.
-          if state.up.(i) then c.Component.operational_cost
-          else ctx.modes.(i).(state.failed_mode.(i)).Component.fm_failed_cost)
-      ctx.comps;
+    Explore.blit_code explored s code;
+    for i = 0 to Array.length ctx.comps - 1 do
+      comp_cost.(s) <-
+        (comp_cost.(s)
+        +.
+        if is_up ctx code i then ctx.comps.(i).Component.operational_cost
+        else ctx.modes.(i).(get code ctx.mode_f.(i)).Component.fm_failed_cost)
+    done;
     Array.iteri
       (fun u ru ->
-        let busy = List.length (repairing ctx state u) in
+        let busy =
+          if ctx.dedicated.(u) then
+            Array.fold_left
+              (fun acc i -> if is_up ctx code i then acc else acc + 1)
+              0 ctx.members.(u)
+          else if ctx.preemptive.(u) then min ru.Repair.crews (queue_length ctx code u)
+          else busy_count ctx code u
+        in
         let idle = Repair.crew_count ru - busy in
         ru_cost.(s) <-
           ru_cost.(s)
@@ -482,10 +633,6 @@ let cost_structures built =
       ctx.rus
   done;
   (comp_cost, ru_cost)
-
-let component_cost_structure built = fst (cost_structures built)
-
-let repair_cost_structure built = snd (cost_structures built)
 
 let cost_structure built =
   let comp, ru = cost_structures built in

@@ -34,12 +34,18 @@ type state = {
           priority. *)
 }
 
+type space
+(** The explored state space: packed state codes, the intern table and
+    the per-state observations compiled for this model. *)
+
 type built = {
   model : Model.t;
   chain : Ctmc.Chain.t;
-  states : state array;
   component_index : string -> int;
   state_index : state -> int option;
+      (** [None] for a state outside the explored space (including one that
+          is not a valid state of the model) *)
+  space : space;
 }
 
 exception Build_error of string
@@ -58,7 +64,23 @@ val disaster_state : Model.t -> failed:string list -> state
 val build : ?max_states:int -> ?initial:state -> Model.t -> built
 (** Explore the reachable state space from [initial] (default
     {!all_up_state}) and build the CTMC (initial distribution: point mass
-    on [initial]). [max_states] defaults to [5_000_000]. *)
+    on [initial]). [max_states] defaults to [5_000_000].
+
+    States are explored by {!Ctmc.Explore} over a packed encoding (per
+    component an up bit, failure-mode and Erlang-stage fields and, for
+    units that share crews, an in-repair flag; per repair unit one queue
+    slot per member that can wait). State 0 is [initial]; the others are
+    numbered in breadth-first discovery order. Raises {!Build_error}
+    naming the field when [initial] does not fit the model: wrong array
+    lengths, a [failed_mode] or [stage] out of range, an [in_repair] /
+    [queue] entry that is not a failed member of that unit or is listed
+    twice, an [in_repair] list in a dedicated or preemptive unit, or a
+    queue longer than the members that can wait (none in a dedicated
+    unit, all members in a preemptive one, members minus crews
+    otherwise). *)
+
+val state : built -> int -> state
+(** Decode the state with the given index. *)
 
 (** {2 Per-state observations} *)
 
@@ -91,6 +113,7 @@ val cost_structure : built -> Ctmc.Rewards.structure
     rates) plus, per repair unit, idle crews times idle cost and busy crews
     times busy cost. *)
 
-val component_cost_structure : built -> Ctmc.Rewards.structure
+val cost_structures : built -> Ctmc.Rewards.structure * Ctmc.Rewards.structure
+(** The component and repair parts of {!cost_structure} in one pass over
+    the states; [cost_structure] is their sum. *)
 
-val repair_cost_structure : built -> Ctmc.Rewards.structure

@@ -59,13 +59,39 @@ let with_point_init m s =
   if s < 0 || s >= m.n then invalid_arg "Chain.with_point_init: bad state";
   { m with init = Vec.unit m.n s }
 
+(* One pass over the already-sorted rows, splicing [-exit(i)] in at the
+   diagonal; stored zeros (the diagonal included, which [make] only
+   allows to be zero) are dropped, so the result equals the
+   [Sparse.Builder] construction entry for entry. *)
 let generator m =
-  let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in
-  Sparse.iteri m.rates (fun i j x -> Sparse.Builder.add b i j x);
-  for i = 0 to m.n - 1 do
-    if m.exit.(i) <> 0. then Sparse.Builder.add b i i (-.m.exit.(i))
+  let n = m.n in
+  let row_ptr = Bigarray.(Array1.create int32 c_layout (n + 1)) in
+  let total = ref 0 in
+  row_ptr.{0} <- 0l;
+  for i = 0 to n - 1 do
+    Sparse.iter_row m.rates i (fun j x -> if j <> i && x <> 0. then incr total);
+    if m.exit.(i) <> 0. then incr total;
+    row_ptr.{i + 1} <- Int32.of_int !total
   done;
-  Sparse.Builder.to_csr b
+  let col_idx = Bigarray.(Array1.create int32 c_layout !total) in
+  let values = Bigarray.(Array1.create float64 c_layout !total) in
+  let p = ref 0 in
+  let put j x =
+    col_idx.{!p} <- Int32.of_int j;
+    values.{!p} <- x;
+    incr p
+  in
+  for i = 0 to n - 1 do
+    let pending = ref (m.exit.(i) <> 0.) in
+    Sparse.iter_row m.rates i (fun j x ->
+        if !pending && j > i then begin
+          put i (-.m.exit.(i));
+          pending := false
+        end;
+        if j <> i && x <> 0. then put j x);
+    if !pending then put i (-.m.exit.(i))
+  done;
+  Sparse.of_csr ~rows:n ~cols:n ~row_ptr ~col_idx ~values
 
 let transition_count m = Sparse.nnz m.rates
 

@@ -62,6 +62,64 @@ let rec eval tree truth =
       let sat = List.fold_left (fun n g -> if eval g truth then n + 1 else n) 0 inputs in
       sat >= k
 
+(* Staged evaluation: literals are resolved once, and each gate becomes a
+   closure over an array of its compiled inputs. The loops mirror [eval]
+   and [eval_quantitative] input by input, so both give the same answers
+   (bit for bit in the quantitative case). *)
+let rec all gs x k = k = Array.length gs || (gs.(k) x && all gs x (k + 1))
+
+let rec any gs x k = k < Array.length gs && (gs.(k) x || any gs x (k + 1))
+
+let rec count gs x k acc =
+  if k = Array.length gs then acc
+  else count gs x (k + 1) (if gs.(k) x then acc + 1 else acc)
+
+let rec compile tree literal =
+  let inputs gs = Array.of_list (List.map (fun g -> compile g literal) gs) in
+  match tree with
+  | Basic name -> literal name
+  | And gs ->
+      let gs = inputs gs in
+      fun x -> all gs x 0
+  | Or gs ->
+      let gs = inputs gs in
+      fun x -> any gs x 0
+  | Kofn (k, gs) ->
+      let gs = inputs gs in
+      fun x -> count gs x 0 0 >= k
+
+(* float accumulators stay in loops: a float argument of a recursive call
+   would be boxed on every step *)
+let minimum gs x =
+  let acc = ref infinity in
+  for k = 0 to Array.length gs - 1 do
+    acc := Float.min !acc (gs.(k) x)
+  done;
+  !acc
+
+let sum gs x =
+  let acc = ref 0. in
+  for k = 0 to Array.length gs - 1 do
+    acc := !acc +. gs.(k) x
+  done;
+  !acc
+
+let rec compile_quantitative tree value =
+  let inputs gs = Array.of_list (List.map (fun g -> compile_quantitative g value) gs) in
+  match tree with
+  | Basic name -> value name
+  | And gs ->
+      let gs = inputs gs in
+      fun x -> minimum gs x
+  | Or gs ->
+      let gs = inputs gs in
+      let n = float_of_int (Array.length gs) in
+      fun x -> sum gs x /. n
+  | Kofn (k, gs) ->
+      let gs = inputs gs in
+      let k = float_of_int k in
+      fun x -> Float.min 1. (sum gs x /. k)
+
 let rec dual = function
   | Basic name -> Basic name
   | And inputs -> Or (List.map dual inputs)

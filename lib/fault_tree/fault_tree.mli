@@ -37,6 +37,12 @@ val basics : t -> string list
 val eval : t -> (string -> bool) -> bool
 (** [eval tree truth] evaluates with [truth name] giving each literal. *)
 
+val compile : t -> (string -> 'a -> bool) -> 'a -> bool
+(** [compile tree literal] stages {!eval}: every basic event is resolved
+    through [literal] once, and the result evaluates the tree at any
+    argument without name lookups. [compile tree literal x] equals
+    [eval tree (fun name -> literal name x)]. *)
+
 val dual : t -> t
 (** The dual tree: AND and OR swapped, [Kofn (k, n inputs)] becomes
     [Kofn (n - k + 1, ...)]. If [eval tree failed] says "system down" for
@@ -46,6 +52,10 @@ val dual : t -> t
 val eval_quantitative : t -> (string -> float) -> float
 (** Quantitative service semantics over literal values in [[0, 1]]:
     AND = minimum, OR = average, K-of-N = [min 1 (sum / k)]. *)
+
+val compile_quantitative : t -> (string -> 'a -> float) -> 'a -> float
+(** Staged {!eval_quantitative}, as {!compile}; the same floating-point
+    operations in the same order, so the results are identical. *)
 
 val service_levels : t -> float list
 (** All values the quantitative evaluation can take when every literal is 0

@@ -272,7 +272,9 @@ let solve_jacobi_multi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs ?x0
   (x, records)
 
 (* pi Q = 0  <=>  Q^T pi^T = 0. Gauss-Seidel on the transposed system:
-   pi(j) <- sum_{i<>j} pi(i) * Q(i,j) / (-Q(j,j)), then renormalize. *)
+   pi(j) <- sum_{i<>j} pi(i) * Q(i,j) / (-Q(j,j)), then renormalize. The
+   sweep is the generic kernel with b = 0: it computes (0 - sum) / Q(j,j),
+   the same value up to the sign of a zero. *)
 let steady_state_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
     ?obs q =
   let n = Sparse.rows q in
@@ -294,26 +296,19 @@ let steady_state_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
   else begin
     check_diagonal "steady_state_gauss_seidel" d;
     let pi = Vec.create n (1. /. float_of_int n) in
+    let zero = Vec.zeros n in
     span_states "steady_gauss_seidel" n @@ fun span ->
     let rec sweep iter =
-      let delta = ref 0. in
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        Sparse.iter_row qt j (fun i v -> if i <> j then acc := !acc +. (v *. pi.(i)));
-        let pj = !acc /. -.d.(j) in
-        let change = Float.abs (pj -. pi.(j)) in
-        if change > !delta then delta := change;
-        pi.(j) <- pj
-      done;
+      let delta = Sparse.gauss_seidel_sweep qt ~diag:d ~b:zero ~x:pi in
       Vec.normalize_l1 pi;
       let scale = if rel_tol = None then 0. else max_abs pi in
-      match fired ~tol ~rel_tol ~scale !delta with
+      match fired ~tol ~rel_tol ~scale delta with
       | Some crit ->
-          { iterations = iter; residual = !delta; converged = true;
+          { iterations = iter; residual = delta; converged = true;
             criterion = Some crit }
       | None ->
           if iter >= max_iter then
-            { iterations = iter; residual = !delta; converged = false;
+            { iterations = iter; residual = delta; converged = false;
               criterion = None }
           else sweep (iter + 1)
     in

@@ -114,6 +114,28 @@ module Builder = struct
     { rows; cols; row_ptr; col_idx; values }
 end
 
+let of_csr ~rows ~cols ~row_ptr ~col_idx ~values =
+  let fail fmt = Printf.ksprintf invalid_arg ("Sparse.of_csr: " ^^ fmt) in
+  if rows < 0 || cols < 0 then fail "negative dimension %dx%d" rows cols;
+  if A1.dim row_ptr <> rows + 1 then
+    fail "row_ptr has length %d, expected %d" (A1.dim row_ptr) (rows + 1);
+  if idx row_ptr 0 <> 0 then fail "row_ptr does not start at 0";
+  let nnz = idx row_ptr rows in
+  if A1.dim col_idx <> nnz || A1.dim values <> nnz then
+    fail "row_ptr ends at %d but col_idx has %d and values %d entries" nnz
+      (A1.dim col_idx) (A1.dim values);
+  for i = 0 to rows - 1 do
+    let lo = idx row_ptr i and hi = idx row_ptr (i + 1) in
+    if hi < lo then fail "row_ptr decreases at row %d" i;
+    for p = lo to hi - 1 do
+      let j = idx col_idx p in
+      if j < 0 || j >= cols then fail "column %d out of range in row %d" j i;
+      if p > lo && j <= idx col_idx (p - 1) then
+        fail "columns of row %d are not strictly increasing" i
+    done
+  done;
+  { rows; cols; row_ptr; col_idx; values }
+
 let of_triplets ~rows ~cols triplets =
   let b = Builder.create ~rows ~cols in
   List.iter (fun (i, j, x) -> Builder.add b i j x) triplets;
@@ -378,10 +400,39 @@ let jacobi_sweep_multi m ~diag ~b ~x ~x' =
 
 (* ----------------------------------------------------------------------- *)
 
+(* Two-pass counting sort: count the entries of each column, then scatter
+   rows in ascending order, so every output row comes out sorted. Exact
+   zeros are dropped, as {!Builder.to_csr} does. *)
 let transpose m =
-  let b = Builder.create ~rows:m.cols ~cols:m.rows in
-  iteri m (fun i j x -> Builder.add b j i x);
-  Builder.to_csr b
+  let rows = m.cols and cols = m.rows in
+  let counts = Array.make (rows + 1) 0 in
+  for p = 0 to nnz m - 1 do
+    if A1.unsafe_get m.values p <> 0. then begin
+      let c = idx m.col_idx p + 1 in
+      counts.(c) <- counts.(c) + 1
+    end
+  done;
+  for r = 1 to rows do
+    counts.(r) <- counts.(r) + counts.(r - 1)
+  done;
+  let total = counts.(rows) in
+  let row_ptr = A1.create Bigarray.int32 Bigarray.c_layout (rows + 1) in
+  Array.iteri (fun r c -> A1.unsafe_set row_ptr r (Int32.of_int c)) counts;
+  let col_idx = A1.create Bigarray.int32 Bigarray.c_layout total in
+  let values = A1.create Bigarray.float64 Bigarray.c_layout total in
+  for i = 0 to m.rows - 1 do
+    for p = idx m.row_ptr i to idx m.row_ptr (i + 1) - 1 do
+      let x = A1.unsafe_get m.values p in
+      if x <> 0. then begin
+        let j = idx m.col_idx p in
+        let q = counts.(j) in
+        A1.unsafe_set col_idx q (Int32.of_int i);
+        A1.unsafe_set values q x;
+        counts.(j) <- q + 1
+      end
+    done
+  done;
+  { rows; cols; row_ptr; col_idx; values }
 
 let map f m =
   let n = nnz m in
@@ -403,7 +454,11 @@ let add_mat a b =
 
 let row_sums m =
   let v = Vec.zeros m.rows in
-  iteri m (fun i _ x -> v.(i) <- v.(i) +. x);
+  for i = 0 to m.rows - 1 do
+    for p = idx m.row_ptr i to idx m.row_ptr (i + 1) - 1 do
+      v.(i) <- v.(i) +. A1.unsafe_get m.values p
+    done
+  done;
   v
 
 let identity n =

@@ -2,7 +2,8 @@
 
     The CTMC engine stores generator and probability matrices in this format.
     Matrices are immutable once built; construction goes through {!Builder}
-    (coordinate/triplet accumulation) or {!of_triplets}.
+    (coordinate/triplet accumulation), {!of_triplets}, or {!of_csr} for
+    rows that are already sorted.
 
     Storage is unboxed: row pointers and column indices live in int32
     {!Bigarray}s and values in a float64 {!Bigarray}, so one matrix pass
@@ -30,6 +31,23 @@ module Builder : sig
 end
 
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
+
+type index_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type value_array = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val of_csr :
+  rows:int ->
+  cols:int ->
+  row_ptr:index_array ->
+  col_idx:index_array ->
+  values:value_array ->
+  t
+(** Wrap ready-made CSR arrays (adopted, not copied: do not mutate them
+    afterwards). [row_ptr] has [rows + 1] entries, starts at 0 and never
+    decreases; its last entry is the length of [col_idx] and [values];
+    the columns of each row lie in [\[0, cols)] and strictly increase.
+    Raises [Invalid_argument] otherwise. Stored zeros are kept. *)
 
 val of_dense : float array array -> t
 
@@ -112,6 +130,7 @@ val jacobi_sweep_multi :
   t -> diag:Vec.t -> b:Multivec.t -> x:Multivec.t -> x':Multivec.t -> unit
 
 val transpose : t -> t
+(** Counting-sort transpose; drops stored exact zeros. *)
 
 val map : (float -> float) -> t -> t
 (** Apply a function to every stored entry (structure preserved). *)

@@ -1,5 +1,4 @@
 module Vec = Numeric.Vec
-module Sparse = Numeric.Sparse
 
 exception Build_error of string
 
@@ -197,43 +196,23 @@ let build ?(max_states = 2_000_000) model =
       actions;
     !out
   in
-  (* BFS exploration *)
-  let initial = Array.map (fun v -> v.init) vars in
-  let index_table : (int array, int) Hashtbl.t = Hashtbl.create 1024 in
-  let states_rev = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern state =
-    match Hashtbl.find_opt index_table state with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        if i >= max_states then error "state space exceeds max_states = %d" max_states;
-        Hashtbl.replace index_table state i;
-        states_rev := state :: !states_rev;
-        incr count;
-        Queue.add state queue;
-        i
+  (* exploration: a state's code is its valuation, one word per variable;
+     successors are emitted in the order of the [successors] list, which
+     fixes the numbering *)
+  let explored =
+    try
+      Ctmc.Explore.run ~words:nvars ~max_states
+        ~initial:(Array.map (fun v -> v.init) vars)
+        ~expand:(fun state emit ->
+          List.iter
+            (fun (rate, state') -> emit state' rate)
+            (try successors state
+             with Eval.Eval_error msg -> error "evaluating transitions: %s" msg))
+    with Ctmc.Explore.State_limit limit -> error "state space exceeds max_states = %d" limit
   in
-  ignore (intern initial);
-  let transitions = ref [] in
-  while not (Queue.is_empty queue) do
-    let state = Queue.pop queue in
-    let i = Hashtbl.find index_table state in
-    List.iter
-      (fun (rate, state') ->
-        let j = intern state' in
-        transitions := (i, j, rate) :: !transitions)
-      (try successors state
-       with Eval.Eval_error msg -> error "evaluating transitions: %s" msg)
-  done;
-  let n = !count in
-  let state_vectors = Array.make n [||] in
-  List.iteri (fun k s -> state_vectors.(n - 1 - k) <- s) !states_rev;
-  let b = Sparse.Builder.create ~rows:n ~cols:n in
-  List.iter (fun (i, j, r) -> Sparse.Builder.add b i j r) !transitions;
-  let init = Vec.unit n 0 in
-  let chain = Ctmc.Chain.make ~init (Sparse.Builder.to_csr b) in
+  let n = Ctmc.Explore.states explored in
+  let state_vectors = Array.init n (Ctmc.Explore.code explored) in
+  let chain = Ctmc.Chain.make ~init:(Vec.unit n 0) (Ctmc.Explore.rates explored) in
   (* labels and rewards per state *)
   let eval_label body =
     Array.map
@@ -270,7 +249,7 @@ let build ?(max_states = 2_000_000) model =
     var_names = Array.map (fun v -> v.name) vars;
     var_is_bool = Array.map (fun v -> v.is_bool) vars;
     state_vectors;
-    index_of_vector = (fun v -> Hashtbl.find_opt index_table v);
+    index_of_vector = Ctmc.Explore.find explored;
     labels;
     reward_structures;
   }

@@ -12,6 +12,10 @@ module Xml_io = Core.Xml_io
 module To_prism = Core.To_prism
 module Chain = Ctmc.Chain
 
+(* every state of a built chain, decoded *)
+let all_states built =
+  Array.init (Ctmc.Chain.states built.Semantics.chain) (Semantics.state built)
+
 let check_close ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
@@ -176,7 +180,7 @@ let test_semantics_invariants () =
       List.iter
         (fun i -> Alcotest.(check bool) "in_repair failed" false st.Semantics.up.(i))
         in_r)
-    built.Semantics.states
+    (all_states built)
 
 let test_semantics_single_crew_counts () =
   (* FCFS with 1 crew on 3 distinct components: states = sum over failed
@@ -286,7 +290,7 @@ let test_semantics_service_levels_per_state () =
         check_close "half service" 0.5 (Semantics.service_level built s);
         Alcotest.(check bool) "not down" false (Semantics.down_pred built s)
       end)
-    built.Semantics.states;
+    (all_states built);
   Alcotest.(check bool) "state found" true !found
 
 let test_semantics_cost_structure () =
@@ -305,7 +309,7 @@ let test_semantics_cost_structure () =
         Array.fold_left (fun acc up -> if up then acc else acc + 1) 0 st.Semantics.up
       in
       check_close "cost formula" ((3. *. float_of_int k) +. float_of_int (3 - k)) cost.(s))
-    built.Semantics.states
+    (all_states built)
 
 let test_disaster_state_unknown_component () =
   let model = abc_model () in
@@ -470,7 +474,7 @@ let test_stages_queue_strategy () =
               (List.mem i st.Semantics.in_repair.(0))
           end)
         st.Semantics.stage)
-    built.Semantics.states;
+    (all_states built);
   (* and the two tool-chain paths still agree *)
   let pbuilt = Prism.Builder.build (Prism.Parser.parse_model (To_prism.to_string model)) in
   Alcotest.(check int) "states agree" (Chain.states built.Semantics.chain)
@@ -536,7 +540,7 @@ let test_modes_specific_literal () =
   let leak_states = ref 0 and down_states = ref 0 in
   for s = 0 to Chain.states built.Semantics.chain - 1 do
     if Semantics.down_pred built s then incr leak_states;
-    if not built.Semantics.states.(s).Semantics.up.(0) then incr down_states
+    if not (Semantics.state built s).Semantics.up.(0) then incr down_states
   done;
   Alcotest.(check int) "one leak state" 1 !leak_states;
   Alcotest.(check int) "two failed states" 2 !down_states;
@@ -1093,9 +1097,228 @@ let prop_survivability_monotone =
           s1 <= s2 +. 1e-9)
         levels)
 
+(* ------------------------------------------------------------------ *)
+(* Exploration: the chains of the shipped models, pinned *)
+
+(* FNV-1a over 4 little-endian bytes per int: the row pointers, then the
+   column indices *)
+let chain_fingerprint chain =
+  let r = Chain.rates chain in
+  let n = Numeric.Sparse.rows r in
+  let mix h x =
+    let h = ref h in
+    for b = 0 to 3 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int ((x lsr (8 * b)) land 0xff)))
+          0x100000001b3L
+    done;
+    !h
+  in
+  let h = ref (mix 0xcbf29ce484222325L 0) and ptr = ref 0 in
+  for i = 0 to n - 1 do
+    Numeric.Sparse.iter_row r i (fun _ _ -> incr ptr);
+    h := mix !h !ptr
+  done;
+  let sum = ref 0. in
+  for i = 0 to n - 1 do
+    Numeric.Sparse.iter_row r i (fun j x ->
+        h := mix !h j;
+        sum := !sum +. x)
+  done;
+  (n, Numeric.Sparse.nnz r, !h, !sum)
+
+(* (chain, states, transitions, structure hash, sum of rates), recorded
+   with the string-keyed explorer this one replaced: the numbering and
+   the CSR structure must not move *)
+let pinned_chains =
+  [
+    ("line1_ded", 2048, 22528, 0x68639c19690df01dL, 4839.4240000004356);
+    ("line1_frf-1", 111809, 469007, 0xb68fec9aca111bedL, 41082.492999946408);
+    ("line1_frf-2", 178606, 895331, 0xf89eb5262bae8967L, 134202.46299881762);
+    ("line1_fff-1", 111809, 469007, 0x9fa7e3b95c788da5L, 41082.492999946408);
+    ("line1_fff-2", 178606, 895331, 0x5b4fbb95e8d4b095L, 134202.46299881762);
+    ("line2_ded", 512, 4608, 0x327322a7a75f08f3L, 950.5279999999965);
+    ("line2_frf-1", 8129, 32029, 0x2425338a902af1d9L, 3031.8400000004708);
+    ("line2_frf-2", 11956, 56013, 0x622a8f771b23f191L, 9129.5043333380472);
+    ("line2_fff-1", 8129, 32029, 0x3e976bd30187a7a9L, 3031.8400000004708);
+    ("line2_fff-2", 11956, 56013, 0x691454612ffd6187L, 9129.5043333380472);
+    ("substation", 3969, 19529, 0x9f4887c600ffcf79L, 291.50237638612299);
+    ("pipeline_modes", 169, 451, 0x1f2b1484c443d271L, 70.036602777777787);
+    ("line2_frf-1+disaster", 8129, 32029, 0x2f4b9588832e7b64L, 3031.8400000006359);
+    ("line2_frf-1+preemptive", 2560, 10687, 0x37b8aacfcf1f726bL, 2438.7180000000403);
+    ("line2_fff-2+disaster", 11956, 56013, 0xc48e5a3e0e0ac22eL, 9129.5043333374906);
+    ("line2_fff-2+preemptive", 2560, 13237, 0xbb669ee9129c986dL, 4375.5713333335771);
+  ]
+
+let disaster_model = [ "pump1"; "pump2"; "st1"; "sf1"; "res" ]
+
+let load_model name = fst (Xml_io.load ("../models/" ^ name ^ ".xml"))
+
+let preemptive_variant model =
+  Model.with_repair_units model
+    (List.map
+       (fun ru ->
+         Repair.make ~name:ru.Repair.name ~strategy:ru.Repair.strategy
+           ~crews:ru.Repair.crews ~preemptive:true ~components:ru.Repair.components ())
+       model.Model.repair_units)
+
+(* the pinned chain names: a model file, optionally "+disaster" (rooted
+   at [disaster_model]) or "+preemptive" (preemptive units, same root) *)
+let pinned_build key =
+  match String.index_opt key '+' with
+  | None -> Semantics.build (load_model key)
+  | Some k ->
+      let model = load_model (String.sub key 0 k) in
+      let model =
+        if String.sub key k (String.length key - k) = "+preemptive" then
+          preemptive_variant model
+        else model
+      in
+      Semantics.build ~initial:(Semantics.disaster_state model ~failed:disaster_model) model
+
+let test_chain_fingerprints () =
+  List.iter
+    (fun (key, states, nnz, hash, sum) ->
+      let n, nnz', hash', sum' = chain_fingerprint (pinned_build key).Semantics.chain in
+      Alcotest.(check int) (key ^ " states") states n;
+      Alcotest.(check int) (key ^ " transitions") nnz nnz';
+      Alcotest.(check string) (key ^ " structure")
+        (Printf.sprintf "%016Lx" hash) (Printf.sprintf "%016Lx" hash');
+      check_close ~eps:(1e-12 *. sum) (key ^ " rate sum") sum sum')
+    pinned_chains
+
+let test_state_bijection () =
+  List.iter
+    (fun key ->
+      let built = pinned_build key in
+      for s = 0 to Chain.states built.Semantics.chain - 1 do
+        match built.Semantics.state_index (Semantics.state built s) with
+        | Some s' when s' = s -> ()
+        | _ -> Alcotest.failf "%s: state %d does not decode to itself" key s
+      done)
+    [
+      "line1_ded"; "line2_ded"; "line2_frf-1"; "line2_frf-2"; "line2_fff-2";
+      "substation"; "pipeline_modes"; "line2_frf-1+disaster"; "line2_frf-1+preemptive";
+    ]
+
+(* A preemptive FRF unit of 16 members with distinct repair times: its
+   queue slots need 80 bits, more than one word holds, so queue updates
+   take the slot-by-slot path. The canonical queue is the failed set in
+   rank order, so there is one state per failed set; each state has one
+   failure per operational member plus one repair when any is failed. *)
+let test_wide_queue () =
+  let names = List.init 16 (Printf.sprintf "c%02d") in
+  let model =
+    Model.make ~name:"wide"
+      ~components:
+        (List.mapi (fun k name -> comp ~mttf:1000. ~mttr:(float_of_int (k + 1)) name) names)
+      ~repair_units:
+        [ Repair.make ~name:"ru" ~strategy:Repair.Frf ~preemptive:true ~components:names () ]
+      ~fault_tree:(Fault_tree.and_ (List.map Fault_tree.basic names)) ()
+  in
+  let built = Semantics.build model in
+  let n = Chain.states built.Semantics.chain in
+  Alcotest.(check int) "one state per failed set" 65536 n;
+  Alcotest.(check int) "transitions" ((16 * 32768) + 65535)
+    (Chain.transition_count built.Semantics.chain);
+  for s = 0 to n - 1 do
+    let st = Semantics.state built s in
+    let failed = List.filter (fun i -> not st.Semantics.up.(i)) (List.init 16 Fun.id) in
+    (* component k has MTTR k + 1, so rank order is index order *)
+    Alcotest.(check (list int)) "queue = failed set in rank order" failed st.Semantics.queue.(0);
+    if built.Semantics.state_index st <> Some s then Alcotest.failf "state %d: bijection" s
+  done
+
+(* a model with one single-crew FRF unit over a, b and d (at most two of
+   them wait) and an unrepaired, two-mode, Erlang-staged c *)
+let validation_model () =
+  Model.make ~name:"v"
+    ~components:
+      [
+        comp "a";
+        comp "b";
+        Component.make ~name:"c" ~mttf:100. ~mttr:2. ~repair_stages:3
+          ~extra_modes:[ Component.failure_mode ~name:"leak" ~mttf:50. ~mttr:1. () ]
+          ();
+        comp "d";
+      ]
+    ~repair_units:
+      [ Repair.make ~name:"ru" ~strategy:Repair.Frf ~components:[ "a"; "b"; "d" ] () ]
+    ~fault_tree:abc_tree ()
+
+let expect_build_error what fragment initial =
+  match Semantics.build ~initial (validation_model ()) with
+  | exception Semantics.Build_error msg ->
+      if not (Astring_like.contains msg fragment) then
+        Alcotest.failf "%s: message %S does not name %S" what msg fragment
+  | _ -> Alcotest.failf "%s: initial state accepted" what
+
+(* the validation model's state with a and b failed: a in repair, b queued *)
+let valid_initial () =
+  let st = Semantics.all_up_state (validation_model ()) in
+  st.Semantics.up.(0) <- false;
+  st.Semantics.up.(1) <- false;
+  st.Semantics.in_repair.(0) <- [ 0 ];
+  st.Semantics.queue.(0) <- [ 1 ];
+  st
+
+let test_valid_initial () =
+  let built = Semantics.build ~initial:(valid_initial ()) (validation_model ()) in
+  Alcotest.(check (option int)) "initial is state 0" (Some 0)
+    (built.Semantics.state_index (valid_initial ()))
+
+(* (case, word the message must contain, the invalid initial state) *)
+let invalid_initials =
+  let with_ f =
+    let st = valid_initial () in
+    f st;
+    st
+  in
+  [
+    ( "failed_mode out of range", "failed_mode",
+      with_ (fun st -> st.Semantics.failed_mode.(2) <- 2) );
+    ("negative failed_mode", "failed_mode", with_ (fun st -> st.Semantics.failed_mode.(0) <- -1));
+    ("stage out of range", "stage", with_ (fun st -> st.Semantics.stage.(2) <- 3));
+    ("queue entry out of range", "queue", with_ (fun st -> st.Semantics.queue.(0) <- [ 7 ]));
+    ("per-unit array length", "queue", { (valid_initial ()) with Semantics.queue = [| [ 1 ]; [] |] });
+    ("per-unit in_repair length", "in_repair", { (valid_initial ()) with Semantics.in_repair = [||] });
+    ("per-component array length", "stage", { (valid_initial ()) with Semantics.stage = [| 0 |] });
+    ( "duplicate queued component", "twice",
+      with_ (fun st ->
+          st.Semantics.in_repair.(0) <- [];
+          st.Semantics.queue.(0) <- [ 1; 1 ]) );
+    ( "component queued in the wrong unit", "does not repair",
+      with_ (fun st ->
+          st.Semantics.up.(2) <- false;
+          st.Semantics.queue.(0) <- [ 1; 2 ]) );
+    ( "in_repair in the wrong unit", "does not repair",
+      with_ (fun st ->
+          st.Semantics.up.(2) <- false;
+          st.Semantics.in_repair.(0) <- [ 0; 2 ]) );
+    ("operational component queued", "is up", with_ (fun st -> st.Semantics.up.(1) <- true));
+    ( "queue longer than the unit lets wait", "can wait",
+      with_ (fun st ->
+          st.Semantics.up.(3) <- false;
+          st.Semantics.in_repair.(0) <- [];
+          st.Semantics.queue.(0) <- [ 0; 1; 3 ]) );
+  ]
+
 let () =
   Alcotest.run "core"
     [
+      ( "explore",
+        [
+          Alcotest.test_case "chain fingerprints" `Quick test_chain_fingerprints;
+          Alcotest.test_case "encode/decode bijection" `Quick test_state_bijection;
+          Alcotest.test_case "queue wider than a word" `Quick test_wide_queue;
+          Alcotest.test_case "valid initial state" `Quick test_valid_initial;
+        ]
+        @ List.map
+            (fun (case, fragment, initial) ->
+              Alcotest.test_case ("rejects " ^ case) `Quick (fun () ->
+                  expect_build_error case fragment initial))
+            invalid_initials );
       ( "definitions",
         [
           Alcotest.test_case "component validation" `Quick test_component_validation;

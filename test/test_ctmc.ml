@@ -11,6 +11,7 @@ module Rewards = Ctmc.Rewards
 module Lumping = Ctmc.Lumping
 module Simulate = Ctmc.Simulate
 module Vec = Numeric.Vec
+module Sparse = Numeric.Sparse
 
 let check_close ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -583,6 +584,65 @@ let chain_gen =
     let entries = List.filter (fun (i, j, _) -> i <> j) entries in
     return (n, entries))
 
+(* a three-state ring on one-word codes: x emits its successor twice (the
+   rates merge), itself (dropped) and a zero-rate target (never found) *)
+let test_explore_rows () =
+  let expand code emit =
+    let x = code.(0) in
+    emit [| (x + 1) mod 3 |] 1.;
+    emit [| x |] 2.;
+    emit [| x + 10 |] 0.;
+    emit [| (x + 1) mod 3 |] 0.5
+  in
+  let e = Ctmc.Explore.run ~words:1 ~max_states:10 ~initial:[| 2 |] ~expand in
+  Alcotest.(check int) "three states" 3 (Ctmc.Explore.states e);
+  (* numbered in discovery order from the initial code *)
+  Alcotest.(check (list int)) "codes" [ 2; 0; 1 ]
+    (List.init 3 (fun s -> (Ctmc.Explore.code e s).(0)));
+  Alcotest.(check (option int)) "find" (Some 2) (Ctmc.Explore.find e [| 1 |]);
+  Alcotest.(check (option int)) "zero-rate target" None (Ctmc.Explore.find e [| 12 |]);
+  let r = Ctmc.Explore.rates e in
+  Alcotest.(check int) "one merged entry per row" 3 (Sparse.nnz r);
+  check_close "merged rate" 1.5 (Sparse.get r 0 1);
+  check_close "ring closes" 1.5 (Sparse.get r 2 0);
+  match Ctmc.Explore.run ~words:1 ~max_states:2 ~initial:[| 0 |] ~expand with
+  | exception Ctmc.Explore.State_limit 2 -> ()
+  | _ -> Alcotest.fail "state limit not enforced"
+
+(* the generator as the triplet builder assembles it *)
+let builder_generator m =
+  let n = Chain.states m in
+  let b = Sparse.Builder.create ~rows:n ~cols:n in
+  Sparse.iteri (Chain.rates m) (fun i j x -> Sparse.Builder.add b i j x);
+  Array.iteri
+    (fun i e -> if e <> 0. then Sparse.Builder.add b i i (-.e))
+    (Chain.exit_rates m);
+  Sparse.Builder.to_csr b
+
+let exact_entries m =
+  List.rev
+    (Sparse.fold m ~init:[] ~f:(fun acc i j x -> (i, j, Int64.bits_of_float x) :: acc))
+
+let prop_generator_matches_builder =
+  QCheck.Test.make ~count:300 ~name:"direct generator = builder generator"
+    (QCheck.make
+       QCheck.Gen.(
+         (* from 1x1 up, rows often empty *)
+         let* n = int_range 1 7 in
+         let* entries =
+           list_size (int_range 0 12)
+             (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (float_range 0.01 5.))
+         in
+         return (n, List.filter (fun (i, j, _) -> i <> j) entries)))
+    (fun (n, entries) ->
+      let same m =
+        let q = Chain.generator m and q' = builder_generator m in
+        Sparse.rows q = n && Sparse.cols q = n && exact_entries q = exact_entries q'
+      in
+      let m = Chain.of_transitions ~states:n entries in
+      (* stored zeros too: [map] keeps the structure *)
+      same m && same (Chain.make (Sparse.map (fun x -> if x < 1. then 0. else x) (Chain.rates m))))
+
 let prop_transient_is_distribution =
   QCheck.Test.make ~count:100 ~name:"transient distributions stay distributions"
     (QCheck.make chain_gen)
@@ -1133,7 +1193,9 @@ let () =
           Alcotest.test_case "embedded" `Quick test_chain_embedded;
           Alcotest.test_case "absorbing" `Quick test_chain_absorbing;
           Alcotest.test_case "restrict reachable" `Quick test_restrict_reachable;
-        ] );
+          Alcotest.test_case "explore: rows and numbering" `Quick test_explore_rows;
+        ]
+        @ qsuite [ prop_generator_matches_builder ] );
       ( "transient",
         [
           Alcotest.test_case "two-state analytic" `Quick test_transient_two_state;

@@ -61,25 +61,25 @@ let test_dual_involution () =
   Alcotest.check ft "dual twice is identity" line2_down
     (Fault_tree.dual (Fault_tree.dual line2_down))
 
+let tree_gen =
+  QCheck.Gen.(
+    sized_size (int_range 1 4) (fix (fun self n ->
+        if n = 0 then map (fun i -> Fault_tree.basic (Printf.sprintf "c%d" i)) (int_range 0 5)
+        else
+          let sub = self (n - 1) in
+          oneof
+            [
+              map (fun i -> Fault_tree.basic (Printf.sprintf "c%d" i)) (int_range 0 5);
+              map (fun l -> Fault_tree.and_ l) (list_size (int_range 1 3) sub);
+              map (fun l -> Fault_tree.or_ l) (list_size (int_range 1 3) sub);
+              (let* l = list_size (int_range 1 3) sub in
+               let* k = int_range 1 (List.length l) in
+               return (Fault_tree.kofn k l));
+            ])))
+
 (* eval (dual t) f = not (eval t (not . f)) — the duality the service tree
    relies on. *)
 let prop_duality =
-  let tree_gen =
-    QCheck.Gen.(
-      sized_size (int_range 1 4) (fix (fun self n ->
-          if n = 0 then map (fun i -> Fault_tree.basic (Printf.sprintf "c%d" i)) (int_range 0 5)
-          else
-            let sub = self (n - 1) in
-            oneof
-              [
-                map (fun i -> Fault_tree.basic (Printf.sprintf "c%d" i)) (int_range 0 5);
-                map (fun l -> Fault_tree.and_ l) (list_size (int_range 1 3) sub);
-                map (fun l -> Fault_tree.or_ l) (list_size (int_range 1 3) sub);
-                (let* l = list_size (int_range 1 3) sub in
-                 let* k = int_range 1 (List.length l) in
-                 return (Fault_tree.kofn k l));
-              ])))
-  in
   QCheck.Test.make ~count:300 ~name:"dual satisfies de morgan duality"
     (QCheck.make (QCheck.Gen.pair tree_gen (QCheck.Gen.int_bound 63)))
     (fun (tree, mask) ->
@@ -90,6 +90,20 @@ let prop_duality =
       in
       Fault_tree.eval (Fault_tree.dual tree) f
       = not (Fault_tree.eval tree (fun name -> not (f name))))
+
+(* the staged evaluators agree with the interpreters, bit for bit *)
+let prop_compiled_matches_eval =
+  QCheck.Test.make ~count:300 ~name:"compiled trees match eval and eval_quantitative"
+    (QCheck.make (QCheck.Gen.pair tree_gen (QCheck.Gen.int_bound 63)))
+    (fun (tree, mask) ->
+      let bit name mask =
+        mask land (1 lsl int_of_string (String.sub name 1 (String.length name - 1))) <> 0
+      in
+      let value name mask = if bit name mask then 0.25 else 1. in
+      Fault_tree.compile tree bit mask = Fault_tree.eval tree (fun name -> bit name mask)
+      && Int64.bits_of_float (Fault_tree.compile_quantitative tree value mask)
+         = Int64.bits_of_float
+             (Fault_tree.eval_quantitative tree (fun name -> value name mask)))
 
 let test_quantitative_gates () =
   let value map name = List.assoc name map in
@@ -225,7 +239,7 @@ let () =
           Alcotest.test_case "gate swap" `Quick test_dual_gates;
           Alcotest.test_case "involution" `Quick test_dual_involution;
         ]
-        @ qsuite [ prop_duality ] );
+        @ qsuite [ prop_duality; prop_compiled_matches_eval ] );
       ( "quantitative",
         [
           Alcotest.test_case "gate formulas" `Quick test_quantitative_gates;

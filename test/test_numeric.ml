@@ -209,6 +209,68 @@ let prop_transpose_involution =
       let m = Sparse.of_triplets ~rows ~cols entries in
       Sparse.equal m (Sparse.transpose (Sparse.transpose m)))
 
+(* every stored entry with its exact bit pattern, row-major *)
+let exact_entries m =
+  List.rev
+    (Sparse.fold m ~init:[] ~f:(fun acc i j x -> (i, j, Int64.bits_of_float x) :: acc))
+
+let same_matrix a b =
+  Sparse.rows a = Sparse.rows b
+  && Sparse.cols a = Sparse.cols b
+  && exact_entries a = exact_entries b
+
+let builder_transpose m =
+  let b = Sparse.Builder.create ~rows:(Sparse.cols m) ~cols:(Sparse.rows m) in
+  Sparse.iteri m (fun i j x -> Sparse.Builder.add b j i x);
+  Sparse.Builder.to_csr b
+
+let prop_transpose_matches_builder =
+  QCheck.Test.make ~count:300 ~name:"counting-sort transpose = builder transpose"
+    (QCheck.make sparse_triplets_gen)
+    (fun (rows, cols, entries) ->
+      let m = Sparse.of_triplets ~rows ~cols entries in
+      (* stored zeros too: [map] keeps the structure *)
+      let z = Sparse.map (fun x -> if x < -5. then 0. else x) m in
+      same_matrix (Sparse.transpose m) (builder_transpose m)
+      && same_matrix (Sparse.transpose z) (builder_transpose z))
+
+let test_sparse_transpose_edges () =
+  let one = Sparse.of_triplets ~rows:1 ~cols:1 [ (0, 0, 2.5) ] in
+  Alcotest.(check bool) "1x1" true (same_matrix (Sparse.transpose one) one);
+  let empty = Sparse.of_triplets ~rows:1 ~cols:1 [] in
+  Alcotest.(check int) "1x1 empty" 0 (Sparse.nnz (Sparse.transpose empty));
+  let gaps = Sparse.of_triplets ~rows:4 ~cols:3 [ (3, 0, 1.); (0, 2, 2.) ] in
+  Alcotest.(check bool) "empty rows" true
+    (same_matrix (Sparse.transpose gaps) (builder_transpose gaps))
+
+let int32s l = Bigarray.(Array1.of_array int32 c_layout (Array.of_list (List.map Int32.of_int l)))
+
+let floats l = Bigarray.(Array1.of_array float64 c_layout (Array.of_list l))
+
+let test_sparse_of_csr () =
+  let m =
+    Sparse.of_csr ~rows:3 ~cols:3 ~row_ptr:(int32s [ 0; 2; 2; 3 ])
+      ~col_idx:(int32s [ 0; 2; 1 ]) ~values:(floats [ 1.; 2.; 3. ])
+  in
+  Alcotest.(check bool) "wraps the arrays" true
+    (same_matrix m (Sparse.of_triplets ~rows:3 ~cols:3 [ (0, 0, 1.); (0, 2, 2.); (2, 1, 3.) ]));
+  let rejects name ~row_ptr ~col_idx =
+    match
+      Sparse.of_csr ~rows:3 ~cols:3 ~row_ptr:(int32s row_ptr) ~col_idx:(int32s col_idx)
+        ~values:(floats (List.map (fun _ -> 1.) col_idx))
+    with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  rejects "non-monotone row_ptr" ~row_ptr:[ 0; 2; 1; 3 ] ~col_idx:[ 0; 1; 2 ];
+  rejects "row_ptr not from 0" ~row_ptr:[ 1; 2; 2; 3 ] ~col_idx:[ 0; 1; 2 ];
+  rejects "row_ptr length" ~row_ptr:[ 0; 2; 3 ] ~col_idx:[ 0; 1; 2 ];
+  rejects "nnz mismatch" ~row_ptr:[ 0; 1; 2; 4 ] ~col_idx:[ 0; 1; 2 ];
+  rejects "column out of range" ~row_ptr:[ 0; 1; 2; 3 ] ~col_idx:[ 0; 3; 2 ];
+  rejects "negative column" ~row_ptr:[ 0; 1; 2; 3 ] ~col_idx:[ 0; -1; 2 ];
+  rejects "unsorted columns" ~row_ptr:[ 0; 2; 2; 3 ] ~col_idx:[ 2; 0; 1 ];
+  rejects "duplicate columns" ~row_ptr:[ 0; 2; 2; 3 ] ~col_idx:[ 1; 1; 1 ]
+
 let prop_blocked_matches_columns =
   QCheck.Test.make ~count:200
     ~name:"blocked multi kernels match per-column products"
@@ -869,11 +931,13 @@ let () =
           Alcotest.test_case "blocked products" `Quick test_sparse_mul_multi;
           Alcotest.test_case "blocked shape mismatch" `Quick
             test_sparse_multi_shape_mismatch;
+          Alcotest.test_case "transpose edge shapes" `Quick test_sparse_transpose_edges;
+          Alcotest.test_case "of_csr validation" `Quick test_sparse_of_csr;
         ]
         @ qsuite
             [
               prop_spmv_matches_dense; prop_transpose_involution;
-              prop_blocked_matches_columns;
+              prop_blocked_matches_columns; prop_transpose_matches_builder;
             ] );
       ( "fox-glynn",
         [
