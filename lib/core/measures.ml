@@ -49,7 +49,7 @@ let make_csl_model ~analysis ~lump built =
   let component_cost, repair_cost = Semantics.cost_structures built in
   let rewards =
     [
-      (Some "cost", Numeric.Vec.add component_cost repair_cost);
+      (Some "cost", Semantics.cost_structure built);
       (Some "component_cost", component_cost);
       (Some "repair_cost", repair_cost);
     ]

@@ -153,23 +153,16 @@ let make_ctx model =
         field (if u >= 0 && not (dedicated.(u) || preemptive.(u)) then 1 else 0))
   in
   (* A preemptive queue holds every failed member; a shared-crew queue
-     only those waiting while all crews are busy. A queue that fits in one
-     word is laid out as one block, so that shifting it is a couple of
-     word operations. *)
+     only those waiting while all crews are busy. *)
   let slot_f =
     Array.mapi
       (fun u ms ->
-        let width = bits_for (Array.length ms) in
         let k =
           if dedicated.(u) then 0
           else if preemptive.(u) then Array.length ms
           else max 0 (Array.length ms - rus.(u).Repair.crews)
         in
-        if k * width <= word_bits then
-          let block = field (k * width) in
-          Array.init k (fun j ->
-              { block with shift = block.shift + (j * width); mask = (1 lsl width) - 1 })
-        else Array.init k (fun _ -> field width))
+        Array.init k (fun _ -> field (bits_for (Array.length ms))))
       members
   in
   {
@@ -283,25 +276,12 @@ let decode ctx code =
    the state space by orders of magnitude on models with many rate
    classes. *)
 
-(* The helpers below run per transition: plain loops, no closures. *)
-
 let current_rank ctx code i = ctx.rank.(i).(get code ctx.mode_f.(i))
 
 (* copy [len] queue slots from [src] to [dst], one slot away *)
 let shift_slots ctx code u ~dst ~src ~len =
   let slots = ctx.slot_f.(u) in
-  if len <= 0 then ()
-  else if slots.(0).word = slots.(Array.length slots - 1).word then begin
-    let first = slots.(0) in
-    (* one block in one word: move the bits of the [len] slots at once *)
-    let width = slots.(1).shift - first.shift in
-    let from = first.shift + (src * width) and into = first.shift + (dst * width) in
-    let bits = (1 lsl (len * width)) - 1 in
-    let x = Array.unsafe_get code first.word in
-    Array.unsafe_set code first.word
-      (x land lnot (bits lsl into) lor (((x lsr from) land bits) lsl into))
-  end
-  else if dst < src then
+  if dst < src then
     for k = 0 to len - 1 do
       set code slots.(dst + k) (get code slots.(src + k))
     done
@@ -315,12 +295,32 @@ let remove_slot ctx code u k len =
   shift_slots ctx code u ~dst:k ~src:(k + 1) ~len:(len - k - 1);
   set code ctx.slot_f.(u).(len - 1) 0
 
-let busy_count ctx code u =
-  let ms = ctx.members.(u) and busy = ref 0 in
-  for k = 0 to Array.length ms - 1 do
-    busy := !busy + get code ctx.busy_f.(ms.(k))
-  done;
-  !busy
+(* [f i k] for each component unit [u] is repairing, last first: the
+   failed members of a dedicated unit, queue slots [k] up to the crew count
+   of a preemptive unit, the in-repair components of a shared-crew unit by
+   component index ([k] is only meaningful for preemptive units). [expand]
+   emits repairs in this order, so it fixes the state numbering. *)
+let iter_repairing ctx code u f =
+  if ctx.dedicated.(u) then begin
+    let ms = ctx.members.(u) in
+    for k = Array.length ms - 1 downto 0 do
+      if not (is_up ctx code ms.(k)) then f ms.(k) k
+    done
+  end
+  else if ctx.preemptive.(u) then
+    for k = min ctx.rus.(u).Repair.crews (queue_length ctx code u) - 1 downto 0 do
+      f (queue_member ctx code u k) k
+    done
+  else
+    for i = component_count ctx - 1 downto 0 do
+      if ctx.ru_of.(i) = u && get code ctx.busy_f.(i) = 1 then f i 0
+    done
+
+(* busy crews of unit [u] *)
+let busy ctx code u =
+  let count = ref 0 in
+  iter_repairing ctx code u (fun _ _ -> incr count);
+  !count
 
 (* An operational member of a spare unit is dormant when at least as many
    members before it (primaries first, then spares in order) are up as
@@ -416,25 +416,11 @@ let expand ctx =
         for k = 0 to sc.len.(u) - 1 do
           sc.ranks.(u).(k) <- current_rank ctx code (queue_member ctx code u k)
         done;
-        if not ctx.preemptive.(u) then sc.busy.(u) <- busy_count ctx code u
+        if not ctx.preemptive.(u) then sc.busy.(u) <- busy ctx code u
       end
     done;
     for u = nru - 1 downto 0 do
-      if ctx.dedicated.(u) then begin
-        let ms = ctx.members.(u) in
-        for k = Array.length ms - 1 downto 0 do
-          if not (is_up ctx code ms.(k)) then repair_step ctx code sc emit u ms.(k) k
-        done
-      end
-      else if ctx.preemptive.(u) then
-        for k = min ctx.rus.(u).Repair.crews sc.len.(u) - 1 downto 0 do
-          repair_step ctx code sc emit u (queue_member ctx code u k) k
-        done
-      else
-        for i = component_count ctx - 1 downto 0 do
-          if ctx.ru_of.(i) = u && get code ctx.busy_f.(i) = 1 then
-            repair_step ctx code sc emit u i 0
-        done
+      iter_repairing ctx code u (repair_step ctx code sc emit u)
     done;
     (* a dormant cold spare fails at rate 0, which the explorer ignores *)
     for i = component_count ctx - 1 downto 0 do
@@ -448,7 +434,14 @@ let expand ctx =
 
 (* ---- building ------------------------------------------------------------ *)
 
-type space = { ctx : ctx; explored : Explore.t; down : int -> bool; level : int -> float }
+type space = {
+  ctx : ctx;
+  explored : Explore.t;
+  down : int -> bool;
+  level : int -> float;
+  costs : (Vec.t * Vec.t * Vec.t) Lazy.t; (* component, repair, total *)
+  cost_lock : Mutex.t; (* a lazy value must not be forced by two domains at once *)
+}
 
 type built = {
   model : Model.t;
@@ -534,6 +527,33 @@ let literal_at ctx explored literal =
       let m = mode_index ctx i mn and mode = ctx.mode_f.(i) in
       fun s -> stored codes w s up = 0 && stored codes w s mode = m
 
+(* The paper's cost model per state: component costs (failed / operational
+   rates) and, per repair unit, busy crews times busy cost plus idle crews
+   times idle cost. *)
+let cost_vectors ctx explored =
+  let n = Explore.states explored in
+  let comp_cost = Vec.zeros n and ru_cost = Vec.zeros n in
+  for s = 0 to n - 1 do
+    let code = Explore.code explored s in
+    for i = 0 to Array.length ctx.comps - 1 do
+      comp_cost.(s) <-
+        (comp_cost.(s)
+        +.
+        if is_up ctx code i then ctx.comps.(i).Component.operational_cost
+        else ctx.modes.(i).(get code ctx.mode_f.(i)).Component.fm_failed_cost)
+    done;
+    Array.iteri
+      (fun u ru ->
+        let busy = busy ctx code u in
+        let idle = Repair.crew_count ru - busy in
+        ru_cost.(s) <-
+          ru_cost.(s)
+          +. (float_of_int busy *. ru.Repair.busy_cost)
+          +. (float_of_int idle *. ru.Repair.idle_cost))
+      ctx.rus
+  done;
+  (comp_cost, ru_cost, Vec.add comp_cost ru_cost)
+
 let build ?(max_states = 5_000_000) ?initial model =
   let ctx = make_ctx model in
   let initial = match initial with Some s -> s | None -> all_up_state model in
@@ -553,7 +573,15 @@ let build ?(max_states = 5_000_000) ?initial model =
   {
     model;
     chain = Chain.make ~init:(Vec.unit n 0) (Explore.rates explored);
-    space = { ctx; explored; down = Fault_tree.compile model.Model.fault_tree literal; level };
+    space =
+      {
+        ctx;
+        explored;
+        down = Fault_tree.compile model.Model.fault_tree literal;
+        level;
+        costs = lazy (cost_vectors ctx explored);
+        cost_lock = Mutex.create ();
+      };
     component_index = component_of ctx;
     state_index =
       (fun st ->
@@ -585,55 +613,20 @@ let service_at_least built x =
   let level = built.space.level in
   fun s -> level s >= x -. 1e-9
 
-(* The components a unit is repairing: every failed member of a dedicated
-   unit, the queue prefix a preemptive unit's crews work on, the in-repair
-   list otherwise. *)
-let repairing ctx st u =
-  if ctx.dedicated.(u) then List.filter (fun i -> not st.up.(i)) (Array.to_list ctx.members.(u))
-  else if ctx.preemptive.(u) then
-    List.filteri (fun k _ -> k < ctx.rus.(u).Repair.crews) st.queue.(u)
-  else st.in_repair.(u)
-
 let under_repair built s =
-  let st = state built s in
-  List.concat (List.init (Array.length built.space.ctx.rus) (repairing built.space.ctx st))
-
-(* The paper's cost model per state: component costs (failed / operational
-   rates) and, per repair unit, busy crews times busy cost plus idle crews
-   times idle cost. *)
-let cost_structures built =
-  let ctx = built.space.ctx and explored = built.space.explored in
-  let n = Explore.states explored in
-  let comp_cost = Vec.zeros n and ru_cost = Vec.zeros n in
-  let code = Array.make ctx.words 0 in
-  for s = 0 to n - 1 do
-    Explore.blit_code explored s code;
-    for i = 0 to Array.length ctx.comps - 1 do
-      comp_cost.(s) <-
-        (comp_cost.(s)
-        +.
-        if is_up ctx code i then ctx.comps.(i).Component.operational_cost
-        else ctx.modes.(i).(get code ctx.mode_f.(i)).Component.fm_failed_cost)
-    done;
-    Array.iteri
-      (fun u ru ->
-        let busy =
-          if ctx.dedicated.(u) then
-            Array.fold_left
-              (fun acc i -> if is_up ctx code i then acc else acc + 1)
-              0 ctx.members.(u)
-          else if ctx.preemptive.(u) then min ru.Repair.crews (queue_length ctx code u)
-          else busy_count ctx code u
-        in
-        let idle = Repair.crew_count ru - busy in
-        ru_cost.(s) <-
-          ru_cost.(s)
-          +. (float_of_int busy *. ru.Repair.busy_cost)
-          +. (float_of_int idle *. ru.Repair.idle_cost))
-      ctx.rus
+  let ctx = built.space.ctx and code = Explore.code built.space.explored s in
+  let acc = ref [] in
+  for u = Array.length ctx.rus - 1 downto 0 do
+    iter_repairing ctx code u (fun i _ -> acc := i :: !acc)
   done;
-  (comp_cost, ru_cost)
+  !acc
+
+let costs built = Mutex.protect built.space.cost_lock (fun () -> Lazy.force built.space.costs)
+
+let cost_structures built =
+  let comp, ru, _ = costs built in
+  (comp, ru)
 
 let cost_structure built =
-  let comp, ru = cost_structures built in
-  Vec.add comp ru
+  let _, _, total = costs built in
+  total

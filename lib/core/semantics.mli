@@ -111,9 +111,10 @@ val under_repair : built -> int -> int list
 val cost_structure : built -> Ctmc.Rewards.structure
 (** The paper's cost model per state: component costs (failed / operational
     rates) plus, per repair unit, idle crews times idle cost and busy crews
-    times busy cost. *)
+    times busy cost. Computed once per [built], together with
+    {!cost_structures}, and shared by every caller: do not mutate it. *)
 
 val cost_structures : built -> Ctmc.Rewards.structure * Ctmc.Rewards.structure
-(** The component and repair parts of {!cost_structure} in one pass over
-    the states; [cost_structure] is their sum. *)
+(** The component and repair parts of {!cost_structure}, whose sum it is;
+    shared like it. *)
 

@@ -197,13 +197,10 @@ let states t = t.it.n
 
 let codes t = t.it.store
 
-let blit_code t s code =
-  if s < 0 || s >= t.it.n || Array.length code <> t.it.w then invalid_arg "Explore.blit_code";
-  load t.it s code
-
 let code t s =
+  if s < 0 || s >= t.it.n then invalid_arg "Explore.code";
   let code = Array.make t.it.w 0 in
-  blit_code t s code;
+  load t.it s code;
   code
 
 let find t code =

@@ -50,11 +50,8 @@ val codes : t -> codes
     longer than [states * words]; treat it as read-only. *)
 
 val code : t -> int -> int array
-(** A fresh copy of the code of a state. *)
-
-val blit_code : t -> int -> int array -> unit
-(** [blit_code t s code] copies the code of state [s] into [code] (of
-    length [words]). Raises [Invalid_argument] on a bad index or length. *)
+(** A fresh copy of the code of a state. Raises [Invalid_argument] on a
+    bad index. *)
 
 val find : t -> int array -> int option
 (** The index of a code, if it was discovered. *)

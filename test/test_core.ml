@@ -1203,8 +1203,8 @@ let test_state_bijection () =
     ]
 
 (* A preemptive FRF unit of 16 members with distinct repair times: its
-   queue slots need 80 bits, more than one word holds, so queue updates
-   take the slot-by-slot path. The canonical queue is the failed set in
+   queue slots need 80 bits, more than one word holds, so the queue spans
+   two words. The canonical queue is the failed set in
    rank order, so there is one state per failed set; each state has one
    failure per operational member plus one repair when any is failed. *)
 let test_wide_queue () =
@@ -1229,6 +1229,70 @@ let test_wide_queue () =
     Alcotest.(check (list int)) "queue = failed set in rank order" failed st.Semantics.queue.(0);
     if built.Semantics.state_index st <> Some s then Alcotest.failf "state %d: bijection" s
   done
+
+(* The repair sets and costs read off the packed codes equal the ones
+   computed from the decoded state: every failed member of a dedicated
+   unit, the first [crews] queued members of a preemptive unit, the
+   in-repair list of a shared-crew unit. The shipped models have one
+   unit each, so a model with one unit of each kind (the shared one
+   declaring its members out of component order) is checked too. *)
+let test_repair_sets_and_costs () =
+  let three_units =
+    let names = [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ] in
+    Model.make ~name:"three"
+      ~components:(List.mapi (fun k name -> comp ~mttr:(float_of_int (k + 1)) name) names)
+      ~repair_units:
+        [
+          Repair.make ~name:"ded" ~strategy:Repair.Dedicated ~busy_cost:2. ~components:[ "a"; "b" ] ();
+          Repair.make ~name:"pre" ~strategy:Repair.Frf ~preemptive:true ~busy_cost:3.
+            ~components:[ "c"; "d"; "e" ] ();
+          Repair.make ~name:"sh" ~strategy:Repair.Fcfs ~busy_cost:5. ~components:[ "g"; "f" ] ();
+        ]
+      ~fault_tree:(Fault_tree.and_ (List.map Fault_tree.basic names)) ()
+  in
+  List.iter
+    (fun (key, built) ->
+      let model = built.Semantics.model in
+      let cost = Semantics.cost_structure built in
+      if Semantics.cost_structure built != cost then Alcotest.failf "%s: costs recomputed" key;
+      let comp_cost, ru_cost = Semantics.cost_structures built in
+      for s = 0 to Chain.states built.Semantics.chain - 1 do
+        let st = Semantics.state built s in
+        let repairing u ru =
+          if ru.Repair.strategy = Repair.Dedicated then
+            List.filter
+              (fun i -> not st.Semantics.up.(i))
+              (List.map built.Semantics.component_index ru.Repair.components)
+          else if ru.Repair.preemptive then
+            List.filteri (fun k _ -> k < ru.Repair.crews) st.Semantics.queue.(u)
+          else st.Semantics.in_repair.(u)
+        in
+        let sets = List.mapi repairing model.Model.repair_units in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: state %d under repair" key s)
+          (List.concat sets) (Semantics.under_repair built s);
+        let component i c =
+          if st.Semantics.up.(i) then c.Component.operational_cost
+          else (List.nth (Component.modes c) st.Semantics.failed_mode.(i)).Component.fm_failed_cost
+        in
+        let crews ru set =
+          let busy = List.length set in
+          (float_of_int busy *. ru.Repair.busy_cost)
+          +. (float_of_int (Repair.crew_count ru - busy) *. ru.Repair.idle_cost)
+        in
+        let expected_comp = List.fold_left ( +. ) 0. (List.mapi component model.Model.components) in
+        let expected_ru = List.fold_left ( +. ) 0. (List.map2 crews model.Model.repair_units sets) in
+        check_close (key ^ " component cost") expected_comp comp_cost.(s);
+        check_close (key ^ " repair cost") expected_ru ru_cost.(s);
+        check_close (key ^ " cost") (expected_comp +. expected_ru) cost.(s)
+      done)
+    (("three units", Semantics.build three_units)
+    :: List.map
+         (fun key -> (key, pinned_build key))
+         [
+           "line1_ded"; "line2_frf-2"; "line2_fff-2"; "line2_frf-1+preemptive"; "substation";
+           "pipeline_modes";
+         ])
 
 (* a model with one single-crew FRF unit over a, b and d (at most two of
    them wait) and an unrepaired, two-mode, Erlang-staged c *)
@@ -1312,6 +1376,7 @@ let () =
           Alcotest.test_case "chain fingerprints" `Quick test_chain_fingerprints;
           Alcotest.test_case "encode/decode bijection" `Quick test_state_bijection;
           Alcotest.test_case "queue wider than a word" `Quick test_wide_queue;
+          Alcotest.test_case "repair sets and costs" `Quick test_repair_sets_and_costs;
           Alcotest.test_case "valid initial state" `Quick test_valid_initial;
         ]
         @ List.map
