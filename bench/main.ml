@@ -474,80 +474,48 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 (* BENCH_JSON: machine-readable timings (the BENCH_*.json trajectory) *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let int n = Json.Num (float_of_int n)
 
-let json_timings buf key field entries =
-  Buffer.add_string buf (Printf.sprintf "  %S: [\n" key);
-  List.iteri
-    (fun i (name, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"%s\": \"%s\", \"%s\": %.6f}%s\n" "id"
-           (json_escape name) field v
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  ]"
+let kernel_json kernel =
+  Json.Obj (List.map (fun (name, v) -> (name, Json.Num v)) kernel)
 
-let json_artifacts buf entries =
-  Buffer.add_string buf "  \"artifacts\": [\n";
-  List.iteri
-    (fun i a ->
-      let states =
-        String.concat ", "
-          (List.map
-             (fun (label, n) -> Printf.sprintf "{\"chain\": \"%s\", \"states\": %d}"
-                (json_escape label) n)
-             a.art_states)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"id\": \"%s\", \"seconds\": %.6f, \"points\": %d, \
-            \"state_spaces\": [%s]}%s\n"
-           (json_escape a.art_id) a.art_seconds a.art_points states
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  ]"
+let timings_json field entries =
+  Json.List
+    (List.map
+       (fun (name, v) -> Json.Obj [ ("id", Json.Str name); (field, Json.Num v) ])
+       entries)
 
 let write_json path ~artifacts ~kernel ~ablations ~micro =
-  (* Obs.Metrics.to_json is a complete JSON object: embed it verbatim as
-     the "metrics" member (empty-but-valid when OBS_METRICS is off). *)
-  let metrics_json = String.trim (Obs.Metrics.to_json (Obs.Metrics.snapshot ())) in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"bench_points\": %d,\n" (getenv_int "BENCH_POINTS" 15));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"par_domains\": %d,\n"
-       (Numeric.Parallel.default_domains ()));
-  json_artifacts buf artifacts;
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf "  \"kernel\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (name, v) -> Printf.sprintf "\"%s\": %.6g" (json_escape name) v)
-          kernel));
-  Buffer.add_string buf "},\n";
-  json_timings buf "ablations" "seconds" ablations;
-  Buffer.add_string buf ",\n";
-  json_timings buf "micro" "ns_per_run" micro;
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"metrics\": %s" metrics_json);
-  Buffer.add_string buf "\n}\n";
+  let artifact a =
+    Json.Obj
+      [
+        ("id", Str a.art_id);
+        ("seconds", Num a.art_seconds);
+        ("points", int a.art_points);
+        ( "state_spaces",
+          List
+            (List.map
+               (fun (label, n) ->
+                 Json.Obj [ ("chain", Json.Str label); ("states", int n) ])
+               a.art_states) );
+      ]
+  in
+  let json =
+    Json.Obj
+      [
+        ("bench_points", int (getenv_int "BENCH_POINTS" 15));
+        ("par_domains", int (Numeric.Parallel.default_domains ()));
+        ("artifacts", List (List.map artifact artifacts));
+        ("kernel", kernel_json kernel);
+        ("ablations", timings_json "seconds" ablations);
+        ("micro", timings_json "ns_per_run" micro);
+        (* empty but valid when OBS_METRICS is off *)
+        ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
+      ]
+  in
   (* write-then-rename (unique temp + rename in Obs): an interrupted or
      crashed run can never leave a truncated JSON artifact behind *)
-  Obs.write_file_atomic path (Buffer.contents buf);
+  Obs.write_file_atomic path (Json.to_string json ^ "\n");
   Format.printf "wrote timings to %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -584,34 +552,27 @@ let append_history path ~artifacts ~kernel =
       0
       (Obs.Metrics.snapshot ()).Obs.Metrics.counters
   in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"rev\": \"%s\", \"unix_time\": %.0f, \"bench_points\": %d, \
-        \"par_domains\": %d, \"artifacts\": ["
-       (json_escape (git_rev ()))
-       (Unix.gettimeofday ())
-       (getenv_int "BENCH_POINTS" 15)
-       (Numeric.Parallel.default_domains ()));
-  List.iteri
-    (fun i a ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s{\"id\": \"%s\", \"seconds\": %.6f}"
-           (if i = 0 then "" else ", ")
-           (json_escape a.art_id) a.art_seconds))
-    artifacts;
-  Buffer.add_string buf "], \"kernel\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (name, v) -> Printf.sprintf "\"%s\": %.6g" (json_escape name) v)
-          kernel));
-  Buffer.add_string buf
-    (Printf.sprintf "}, \"solver_iterations\": %d}\n" solver_iterations);
+  let entry =
+    Json.Obj
+      [
+        ("rev", Str (git_rev ()));
+        ("unix_time", Num (Float.round (Unix.gettimeofday ())));
+        ("bench_points", int (getenv_int "BENCH_POINTS" 15));
+        ("par_domains", int (Numeric.Parallel.default_domains ()));
+        ( "artifacts",
+          List
+            (List.map
+               (fun a ->
+                 Json.Obj [ ("id", Json.Str a.art_id); ("seconds", Num a.art_seconds) ])
+               artifacts) );
+        ("kernel", kernel_json kernel);
+        ("solver_iterations", int solver_iterations);
+      ]
+  in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
+    (fun () -> output_string oc (Json.to_string entry ^ "\n"));
   Format.printf "appended history entry to %s@." path
 
 let () =

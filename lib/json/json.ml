@@ -8,6 +8,11 @@ type t =
 
 exception Parse_error of string
 
+(* Recursion depth grows by one per open '[' or '{': an unbounded
+   document of nested brackets would keep a request decoding (and the
+   stack growing) for as long as its body is long. *)
+let max_depth = 512
+
 (* ------------------------------------------------------------------ *)
 (* Parsing: plain recursive descent over a string                     *)
 
@@ -121,7 +126,7 @@ let parse s =
     | Some x -> Num x
     | None -> fail "invalid number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -129,6 +134,8 @@ let parse s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
+    | Some ('[' | '{') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '[' ->
         advance ();
         skip_ws ();
@@ -138,7 +145,7 @@ let parse s =
         end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -164,7 +171,7 @@ let parse s =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -180,7 +187,7 @@ let parse s =
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing content";
   v

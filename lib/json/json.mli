@@ -1,10 +1,13 @@
-(** A minimal JSON value type, parser and printer.
+(** A minimal JSON value type, parser and printer: the tree's one JSON
+    codec.
 
-    The dependency set has no JSON library; the server's wire format (and
-    the load generator's reports) need one. Covers all of RFC 8259 except
-    [\uXXXX] surrogate pairs (non-BMP escapes decode to U+FFFD); numbers
-    are IEEE doubles. NaN and infinities print as [null], matching the
-    convention of [Obs]'s emitters. *)
+    The dependency set has no JSON library. Everything that writes or
+    reads JSON goes through this module: the daemon's wire format, the
+    load generator's reports, [Obs]'s trace, flight and metrics files,
+    the bench's [BENCH_JSON]/[BENCH_HISTORY] entries and the bench diff.
+    Covers all of RFC 8259 except [\uXXXX] surrogate pairs (non-BMP
+    escapes decode to U+FFFD); numbers are IEEE doubles. NaN and
+    infinities print as [null]. *)
 
 type t =
   | Null
@@ -18,7 +21,9 @@ exception Parse_error of string
 (** Raised by {!parse} with a message carrying the byte offset. *)
 
 val parse : string -> t
-(** Parse one JSON document; trailing non-whitespace is an error. *)
+(** Parse one JSON document; trailing non-whitespace is an error, and so
+    is nesting arrays and objects more than 512 deep (["nesting deeper
+    than 512"]), which bounds the work of a hostile body. *)
 
 val to_string : t -> string
 (** Compact single-line serialization. Object member order is preserved. *)

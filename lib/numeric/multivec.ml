@@ -150,21 +150,6 @@ let max_norms v =
   done;
   out
 
-let linf_distances a b =
-  check_same_shape "linf_distances" a b;
-  let k = a.mv_width in
-  let out = Array.make k 0. in
-  for i = 0 to a.mv_dim - 1 do
-    let base = i * k in
-    for c = 0 to k - 1 do
-      let d =
-        Float.abs (A1.unsafe_get a.buf (base + c) -. A1.unsafe_get b.buf (base + c))
-      in
-      if d > Array.unsafe_get out c then Array.unsafe_set out c d
-    done
-  done;
-  out
-
 let abs_row_sum_max v =
   let k = v.mv_width in
   let best = ref 0. in

@@ -77,10 +77,6 @@ val scale_uniform : float -> t -> unit
 val max_norms : t -> float array
 (** Per-column max norm [max_i |v(i, c)|]. *)
 
-val linf_distances : t -> t -> float array
-(** Per-column max-norm distance between two multivectors of equal
-    shape. *)
-
 val abs_row_sum_max : t -> float
 (** [max_i sum_c |v(i, c)|] — the matrix infinity norm when the
     multivector stores a dense matrix row-major. *)

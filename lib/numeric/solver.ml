@@ -130,34 +130,6 @@ let solve_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs
   finish ?obs ~solver:"gauss_seidel" ~size:n ~max_iter span c;
   (x, c)
 
-let solve_jacobi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs ?x0 a b =
-  let n = Sparse.rows a in
-  if Sparse.cols a <> n || Vec.dim b <> n then
-    invalid_arg "Solver.solve_jacobi: dimension mismatch";
-  let d = diagonal a in
-  check_diagonal "solve_jacobi" d;
-  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
-  let x' = Vec.zeros n in
-  span_states "jacobi" n @@ fun span ->
-  let rec sweep iter =
-    Sparse.jacobi_sweep a ~diag:d ~b ~x ~x';
-    let delta = Vec.linf_distance x x' in
-    Vec.blit ~src:x' ~dst:x;
-    let scale = if rel_tol = None then 0. else max_abs x in
-    match fired ~tol ~rel_tol ~scale delta with
-    | Some crit ->
-        { iterations = iter; residual = delta; converged = true;
-          criterion = Some crit }
-    | None ->
-        if iter >= max_iter then
-          { iterations = iter; residual = delta; converged = false;
-            criterion = None }
-        else sweep (iter + 1)
-  in
-  let c = sweep 1 in
-  finish ?obs ~solver:"jacobi" ~size:n ~max_iter span c;
-  (x, c)
-
 (* Shared driver for the multi-RHS solvers: [do_sweep] performs one
    blocked relaxation sweep and fills [deltas]. All K columns iterate
    together — one matrix pass per sweep regardless of K — and each
@@ -246,28 +218,6 @@ let solve_gauss_seidel_multi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
     drive_multi ~solver:"gauss_seidel_multi" ~tol ~rel_tol ~max_iter ?obs
       ~size:n ~width:k ~x (fun ~deltas ->
         Sparse.gauss_seidel_sweep_multi ?order a ~diag:d ~b ~x ~deltas)
-  in
-  (x, records)
-
-let solve_jacobi_multi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs ?x0
-    a b =
-  check_multi_shapes "solve_jacobi_multi" a b x0;
-  let n = Sparse.rows a and k = Multivec.width b in
-  let d = diagonal a in
-  check_diagonal "solve_jacobi_multi" d;
-  let x =
-    match x0 with
-    | Some v -> Multivec.copy v
-    | None -> Multivec.create ~dim:n ~width:k
-  in
-  let x' = Multivec.create ~dim:n ~width:k in
-  let records =
-    drive_multi ~solver:"jacobi_multi" ~tol ~rel_tol ~max_iter ?obs ~size:n
-      ~width:k ~x (fun ~deltas ->
-        Sparse.jacobi_sweep_multi a ~diag:d ~b ~x ~x';
-        let ds = Multivec.linf_distances x x' in
-        Array.blit ds 0 deltas 0 k;
-        Multivec.blit ~src:x' ~dst:x)
   in
   (x, records)
 

@@ -11,10 +11,10 @@
     the guard against false verdicts on ill-conditioned large-N chains).
     The {!convergence} record says which criterion fired.
 
-    {b Multi-RHS.} {!solve_gauss_seidel_multi} and {!solve_jacobi_multi}
-    iterate a {!Multivec.t} block of K right-hand sides together — one
-    blocked matrix sweep per iteration regardless of K — and return one
-    {!convergence} record per column. The Gauss–Seidel solvers accept an
+    {b Multi-RHS.} {!solve_gauss_seidel_multi} iterates a {!Multivec.t}
+    block of K right-hand sides together — one blocked matrix sweep per
+    iteration regardless of K — and returns one {!convergence} record per
+    column. The Gauss–Seidel solvers accept an
     update [?order] (e.g. an SCC topological order from {!Digraph.sccs}),
     which on DAG-like chains propagates dependencies in a single sweep.
 
@@ -67,18 +67,6 @@ val solve_gauss_seidel :
     limit is hit. [obs] receives the final convergence record exactly once
     per call, converged or not. *)
 
-val solve_jacobi :
-  ?tol:float ->
-  ?rel_tol:float ->
-  ?max_iter:int ->
-  ?obs:(convergence -> unit) ->
-  ?x0:Vec.t ->
-  Sparse.t ->
-  Vec.t ->
-  Vec.t * convergence
-(** Jacobi variant of {!solve_gauss_seidel}; slower but order-independent
-    (used in tests as a cross-check). *)
-
 val solve_gauss_seidel_multi :
   ?tol:float ->
   ?rel_tol:float ->
@@ -96,17 +84,6 @@ val solve_gauss_seidel_multi :
     residual, and [obs] is invoked once per column. Raises
     [Did_not_converge] for the first unconverged column — after every
     column has been reported. *)
-
-val solve_jacobi_multi :
-  ?tol:float ->
-  ?rel_tol:float ->
-  ?max_iter:int ->
-  ?obs:(convergence -> unit) ->
-  ?x0:Multivec.t ->
-  Sparse.t ->
-  Multivec.t ->
-  Multivec.t * convergence array
-(** Jacobi variant of {!solve_gauss_seidel_multi}. *)
 
 val steady_state_gauss_seidel :
   ?tol:float ->

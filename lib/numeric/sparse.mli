@@ -112,9 +112,6 @@ val gauss_seidel_sweep :
   ?order:int array -> t -> diag:Vec.t -> b:Vec.t -> x:Vec.t -> float
 (** Updates [x] in place, returns the max-norm change of the sweep. *)
 
-val jacobi_sweep : t -> diag:Vec.t -> b:Vec.t -> x:Vec.t -> x':Vec.t -> unit
-(** Writes the next Jacobi iterate of [x] into [x']. *)
-
 val gauss_seidel_sweep_multi :
   ?order:int array ->
   t ->
@@ -125,9 +122,6 @@ val gauss_seidel_sweep_multi :
   unit
 (** Blocked {!gauss_seidel_sweep} over every column of [x]; writes each
     column's max-norm change into [deltas] (length = width). *)
-
-val jacobi_sweep_multi :
-  t -> diag:Vec.t -> b:Multivec.t -> x:Multivec.t -> x':Multivec.t -> unit
 
 val transpose : t -> t
 (** Counting-sort transpose; drops stored exact zeros. *)

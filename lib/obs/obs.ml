@@ -8,35 +8,6 @@ external monotonic_ns : unit -> (int64[@unboxed])
   = "obs_monotonic_ns" "obs_monotonic_ns_unboxed"
 [@@noalloc]
 
-(* ------------------------------------------------------------------ *)
-(* Shared JSON helpers (no JSON library in the dependency set)        *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON has no NaN/Infinity literals; map them to null. *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
-
-let json_attr = function
-  | Int i -> string_of_int i
-  | Float x -> json_float x
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Bool b -> string_of_bool b
-
 (* Each writer gets its own temp name (pid + per-process sequence), so
    concurrent flushes to the same path — two domains, or two processes —
    never clobber each other's temp file; whichever rename lands last
@@ -60,6 +31,80 @@ let write_file_atomic path contents =
   | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
+
+(* ------------------------------------------------------------------ *)
+(* The bounded event ring                                             *)
+
+(* A FIFO of recent events with its own lock. It keeps at most [!limit]
+   items ([None]: all of them), dropping the oldest on overflow and
+   counting the drops; [limit] is read at every push, so the rings of one
+   registry share a bound that can change while they are live. The trace
+   buffers, the flight rings and the solve ring are all this type: a
+   trace flush drains, a flight dump or a metrics snapshot copies. *)
+module Ring = struct
+  type 'a t = {
+    q : 'a Queue.t;
+    lock : Mutex.t;
+    limit : int option ref;
+    mutable dropped : int;
+  }
+
+  let create limit =
+    { q = Queue.create (); lock = Mutex.create (); limit; dropped = 0 }
+
+  (* the number of items dropped to make room *)
+  let push r x =
+    Mutex.protect r.lock (fun () ->
+        Queue.add x r.q;
+        let before = r.dropped in
+        (match !(r.limit) with
+        | Some cap ->
+            while Queue.length r.q > cap do
+              ignore (Queue.take r.q);
+              r.dropped <- r.dropped + 1
+            done
+        | None -> ());
+        r.dropped - before)
+
+  let snapshot r = Mutex.protect r.lock (fun () -> List.of_seq (Queue.to_seq r.q))
+
+  let drain r =
+    Mutex.protect r.lock (fun () ->
+        let items = List.of_seq (Queue.to_seq r.q) in
+        Queue.clear r.q;
+        items)
+
+  let clear r =
+    Mutex.protect r.lock (fun () ->
+        Queue.clear r.q;
+        r.dropped <- 0)
+
+  let dropped r = Mutex.protect r.lock (fun () -> r.dropped)
+
+  (* One ring per domain, created on the domain's first push: recording
+     is contention-free under Numeric.Parallel fan-out, and safe when
+     several server systhreads share domain 0's ring. The registry keeps
+     the rings of joined domains alive. *)
+  type 'a per_domain = {
+    key : 'a t Domain.DLS.key;
+    rings : 'a t list ref;
+    rings_lock : Mutex.t;
+  }
+
+  let per_domain limit =
+    let rings = ref [] and rings_lock = Mutex.create () in
+    let key =
+      Domain.DLS.new_key (fun () ->
+          let r = create limit in
+          Mutex.protect rings_lock (fun () -> rings := r :: !rings);
+          r)
+    in
+    { key; rings; rings_lock }
+
+  let local pd = Domain.DLS.get pd.key
+
+  let all pd = Mutex.protect pd.rings_lock (fun () -> !(pd.rings))
+end
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                   *)
@@ -177,13 +222,7 @@ module Metrics = struct
     converged : bool;
   }
 
-  let ring_capacity = 256
-
-  let ring : solve option array = Array.make ring_capacity None
-
-  let ring_next = ref 0 (* total records so far; slot = next mod capacity *)
-
-  let ring_mutex = Mutex.create ()
+  let solves_ring : solve Ring.t = Ring.create (ref (Some 256))
 
   (* The flight recorder (defined below; [Flight] cannot be referenced
      from here) hooks non-convergence so a long-running daemon keeps a
@@ -201,10 +240,9 @@ module Metrics = struct
       observe
         (histogram (Printf.sprintf "solver.%s.residual" solver))
         residual;
-      let s = { solver; size; iterations; residual; converged } in
-      Mutex.protect ring_mutex (fun () ->
-          ring.(!ring_next mod ring_capacity) <- Some s;
-          ring_next := !ring_next + 1)
+      ignore
+        (Ring.push solves_ring { solver; size; iterations; residual; converged }
+          : int)
     end;
     if not converged then !nonconverged_hook ()
 
@@ -245,15 +283,7 @@ module Metrics = struct
                     } )
                   :: !hs)
           registry);
-    let solves =
-      Mutex.protect ring_mutex (fun () ->
-          let n = min !ring_next ring_capacity in
-          let first = !ring_next - n in
-          List.init n (fun i ->
-              match ring.((first + i) mod ring_capacity) with
-              | Some s -> s
-              | None -> assert false))
-    in
+    let solves = Ring.snapshot solves_ring in
     let by_name (a, _) (b, _) = compare (a : string) b in
     {
       counters = List.sort by_name !cs;
@@ -273,9 +303,7 @@ module Metrics = struct
                 Array.iter (fun b -> Atomic.set b 0) h.buckets;
                 Atomic.set h.h_sum 0.)
           registry);
-    Mutex.protect ring_mutex (fun () ->
-        Array.fill ring 0 ring_capacity None;
-        ring_next := 0)
+    Ring.clear solves_ring
 
   let pp ppf s =
     Format.fprintf ppf "@[<v>metrics:";
@@ -311,53 +339,39 @@ module Metrics = struct
     Format.fprintf ppf "@]"
 
   let to_json s =
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"counters\": {";
-    List.iteri
-      (fun i (name, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s\n    \"%s\": %d"
-             (if i = 0 then "" else ",")
-             (json_escape name) v))
-      s.counters;
-    Buffer.add_string buf "\n  },\n  \"gauges\": {";
-    List.iteri
-      (fun i (name, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s\n    \"%s\": %s"
-             (if i = 0 then "" else ",")
-             (json_escape name) (json_float v)))
-      s.gauges;
-    Buffer.add_string buf "\n  },\n  \"histograms\": {";
-    List.iteri
-      (fun i (name, h) ->
-        let floats a =
-          String.concat ", " (Array.to_list (Array.map json_float a))
-        in
-        let ints a =
-          String.concat ", " (Array.to_list (Array.map string_of_int a))
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%s\n    \"%s\": {\"bounds\": [%s], \"counts\": [%s], \
-              \"total\": %d, \"sum\": %s}"
-             (if i = 0 then "" else ",")
-             (json_escape name) (floats h.bounds) (ints h.counts) h.total
-             (json_float h.sum)))
-      s.histograms;
-    Buffer.add_string buf "\n  },\n  \"solves\": [";
-    List.iteri
-      (fun i v ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%s\n    {\"solver\": \"%s\", \"size\": %d, \"iterations\": %d, \
-              \"residual\": %s, \"converged\": %b}"
-             (if i = 0 then "" else ",")
-             (json_escape v.solver) v.size v.iterations (json_float v.residual)
-             v.converged))
-      s.solves;
-    Buffer.add_string buf "\n  ]\n}\n";
-    Buffer.contents buf
+    let int n = Json.Num (float_of_int n) in
+    let list f a = Json.List (Array.to_list (Array.map f a)) in
+    Json.Obj
+      [
+        ("counters", Obj (List.map (fun (name, v) -> (name, int v)) s.counters));
+        ("gauges", Obj (List.map (fun (name, v) -> (name, Json.Num v)) s.gauges));
+        ( "histograms",
+          Obj
+            (List.map
+               (fun (name, h) ->
+                 ( name,
+                   Json.Obj
+                     [
+                       ("bounds", list Json.num h.bounds);
+                       ("counts", list int h.counts);
+                       ("total", int h.total);
+                       ("sum", Num h.sum);
+                     ] ))
+               s.histograms) );
+        ( "solves",
+          List
+            (List.map
+               (fun v ->
+                 Json.Obj
+                   [
+                     ("solver", Str v.solver);
+                     ("size", int v.size);
+                     ("iterations", int v.iterations);
+                     ("residual", Num v.residual);
+                     ("converged", Bool v.converged);
+                   ])
+               s.solves) );
+      ]
 
   (* ---------------------------------------------------------------- *)
   (* Prometheus text exposition (format 0.0.4)                        *)
@@ -578,24 +592,11 @@ module Trace = struct
   let current_tid () =
     ((Domain.self () :> int) * 1000) + Thread.id (Thread.self ())
 
-  (* Per-domain event buffers, each with its own lock: recording is
-     contention-free under Numeric.Parallel fan-out (one domain, one
-     buffer), and safe when several server systhreads share domain 0's
-     buffer. The registry keeps buffers of joined domains alive. When
-     [capacity] is set the buffer drops its oldest event on overflow —
-     a long-lived daemon must not grow without bound. *)
-  type buffer = {
-    tid : int;
-    q : event Queue.t;
-    bm : Mutex.t;
-    mutable b_dropped : int;
-  }
-
-  let all_buffers : buffer list ref = ref []
-
-  let buffers_mutex = Mutex.create ()
-
+  (* Per-domain event buffers. Unbounded by default; a long-lived
+     daemon sets a capacity so the buffers drop their oldest events. *)
   let capacity : int option ref = ref None
+
+  let buffers : event Ring.per_domain = Ring.per_domain capacity
 
   let set_buffer_capacity c = capacity := c
 
@@ -603,22 +604,8 @@ module Trace = struct
 
   let m_dropped = Metrics.counter "trace.dropped_events"
 
-  let buffer_key =
-    Domain.DLS.new_key (fun () ->
-        let b =
-          {
-            tid = (Domain.self () :> int);
-            q = Queue.create ();
-            bm = Mutex.create ();
-            b_dropped = 0;
-          }
-        in
-        Mutex.protect buffers_mutex (fun () -> all_buffers := b :: !all_buffers);
-        b)
-
   let dropped_events () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.fold_left (fun acc b -> acc + b.b_dropped) 0 !all_buffers)
+    List.fold_left (fun acc b -> acc + Ring.dropped b) 0 (Ring.all buffers)
 
   let t0 = monotonic_ns ()
 
@@ -639,25 +626,16 @@ module Trace = struct
     | No_span -> ()
     | Span sp -> sp.sp_attrs <- (key, v) :: List.remove_assoc key sp.sp_attrs
 
-  (* wired up by [Flight] below, once its rings exist *)
-  let flight_push_ev : (event -> unit) ref = ref (fun _ -> ())
+  (* The flight recorder's rings (dumped by [Flight] below): the last
+     512 events of each domain. *)
+  let flight_rings : event Ring.per_domain = Ring.per_domain (ref (Some 512))
 
   let record ev =
     if !on then begin
-      let b = Domain.DLS.get buffer_key in
-      let dropped =
-        Mutex.protect b.bm (fun () ->
-            Queue.add ev b.q;
-            match !capacity with
-            | Some cap when Queue.length b.q > cap ->
-                ignore (Queue.pop b.q);
-                b.b_dropped <- b.b_dropped + 1;
-                true
-            | _ -> false)
-      in
-      if dropped then Metrics.incr m_dropped
+      let dropped = Ring.push (Ring.local buffers) ev in
+      if dropped > 0 then Metrics.add m_dropped dropped
     end;
-    if !flight_on then !flight_push_ev ev
+    if !flight_on then ignore (Ring.push (Ring.local flight_rings) ev : int)
 
   let close sp =
     let now = monotonic_ns () in
@@ -741,21 +719,15 @@ module Trace = struct
             | None -> None);
         }
 
-  let event_json buf ev =
-    let us ns = Int64.to_float (Int64.sub ns t0) /. 1e3 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"name\": \"%s\", \"cat\": \"arcade\", \"ph\": \"%s\", \
-          \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d"
-         (json_escape ev.ev_name) ev.ph (us ev.ts)
-         (Int64.to_float ev.dur /. 1e3)
-         ev.tid);
-    (match ev.ph with
-    | "i" -> Buffer.add_string buf ", \"s\": \"t\""
-    | _ -> ());
-    let args =
-      ev.ev_attrs
-      @
+  let event_json ev =
+    let us ns = Json.Num (Int64.to_float ns /. 1e3) in
+    let attr = function
+      | Int i -> Json.Num (float_of_int i)
+      | Float x -> Json.Num x
+      | Str s -> Json.Str s
+      | Bool b -> Json.Bool b
+    in
+    let trace_args =
       match ev.ev_trace with
       | None -> []
       | Some t ->
@@ -766,60 +738,45 @@ module Trace = struct
           | Some p -> [ ("parent_span_id", Str p) ]
           | None -> [])
     in
-    if args <> [] then begin
-      Buffer.add_string buf ", \"args\": {";
-      List.iteri
-        (fun i (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\"%s\": %s"
-               (if i = 0 then "" else ", ")
-               (json_escape k) (json_attr v)))
-        args;
-      Buffer.add_string buf "}"
-    end;
-    Buffer.add_string buf "}"
+    let args = List.map (fun (k, v) -> (k, attr v)) (ev.ev_attrs @ trace_args) in
+    Json.Obj
+      ([
+         ("name", Json.Str ev.ev_name);
+         ("cat", Str "arcade");
+         ("ph", Str ev.ph);
+         ("ts", us (Int64.sub ev.ts t0));
+         ("dur", us ev.dur);
+         ("pid", Num 1.);
+         ("tid", Num (float_of_int ev.tid));
+       ]
+      @ (if ev.ph = "i" then [ ("s", Json.Str "t") ] else [])
+      @ if args = [] then [] else [ ("args", Json.Obj args) ])
 
-  let gather_events () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.concat_map
-          (fun b -> Mutex.protect b.bm (fun () -> List.of_seq (Queue.to_seq b.q)))
-          !all_buffers)
+  (* The one Chrome-trace writer: [events] sorted by start time as
+     elements of a JSON array, one per line; [~opening] when they are the
+     array's first elements. *)
+  let add_events buf ~opening events =
+    List.iteri
+      (fun i ev ->
+        Buffer.add_string buf (if opening && i = 0 then "\n" else ",\n");
+        Buffer.add_string buf (Json.to_string (event_json ev)))
+      (List.stable_sort (fun a b -> Int64.compare a.ts b.ts) events)
 
-  let drain_events () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.concat_map
-          (fun b ->
-            Mutex.protect b.bm (fun () ->
-                let evs = List.of_seq (Queue.to_seq b.q) in
-                Queue.clear b.q;
-                evs))
-          !all_buffers)
+  let write_trace path events =
+    let buf = Buffer.create 65536 in
+    Buffer.add_char buf '[';
+    add_events buf ~opening:true events;
+    Buffer.add_string buf "\n]\n";
+    write_file_atomic path (Buffer.contents buf)
 
-  let clear () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.iter
-          (fun b ->
-            Mutex.protect b.bm (fun () ->
-                Queue.clear b.q;
-                b.b_dropped <- 0))
-          !all_buffers)
+  let all_events take = List.concat_map take (Ring.all buffers)
 
-  let by_ts a b = Int64.compare a.ts b.ts
+  let clear () = List.iter Ring.clear (Ring.all buffers)
 
   let flush_rewrite () =
-    match !output_path with
-    | None -> ()
-    | Some path ->
-        let events = List.sort by_ts (gather_events ()) in
-        let buf = Buffer.create 65536 in
-        Buffer.add_string buf "[";
-        List.iteri
-          (fun i ev ->
-            Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-            event_json buf ev)
-          events;
-        Buffer.add_string buf "\n]\n";
-        write_file_atomic path (Buffer.contents buf)
+    Option.iter
+      (fun path -> write_trace path (all_events Ring.snapshot))
+      !output_path
 
   (* Incremental mode, for long-lived daemons: each flush drains the
      buffers and appends their events to the output file, which starts
@@ -844,7 +801,7 @@ module Trace = struct
           inc_path := Some path;
           inc_written := 0
         end;
-        let events = List.sort by_ts (drain_events ()) in
+        let events = all_events Ring.drain in
         if fresh || events <> [] then begin
           let oc =
             open_out_gen
@@ -856,14 +813,9 @@ module Trace = struct
             ~finally:(fun () -> close_out oc)
             (fun () ->
               let buf = Buffer.create 65536 in
-              if fresh then Buffer.add_string buf "[";
-              List.iter
-                (fun ev ->
-                  Buffer.add_string buf
-                    (if !inc_written = 0 then "\n" else ",\n");
-                  event_json buf ev;
-                  incr inc_written)
-                events;
+              if fresh then Buffer.add_char buf '[';
+              add_events buf ~opening:(!inc_written = 0) events;
+              inc_written := !inc_written + List.length events;
               Buffer.add_string buf "\n";
               output_string oc (Buffer.contents buf))
         end
@@ -897,30 +849,10 @@ end
 module Flight = struct
   (* A bounded per-domain ring of the most recent spans, always cheap
      enough to leave on in a serving daemon: recording a span is one
-     mutex-protected slot store, no growth, no I/O. On a 5xx, a solver
-     that failed to converge, or SIGUSR1 the rings are dumped atomically
-     as a Chrome trace, so the first failure of a long-running process
-     is diagnosable after the fact. *)
-
-  let ring_capacity = 512
-
-  type ring = {
-    slots : Trace.event option array;
-    mutable next : int;  (* total pushes; slot = next mod capacity *)
-    rm : Mutex.t;
-  }
-
-  let all_rings : ring list ref = ref []
-
-  let rings_mutex = Mutex.create ()
-
-  let ring_key =
-    Domain.DLS.new_key (fun () ->
-        let r =
-          { slots = Array.make ring_capacity None; next = 0; rm = Mutex.create () }
-        in
-        Mutex.protect rings_mutex (fun () -> all_rings := r :: !all_rings);
-        r)
+     push onto a bounded ring, no I/O. On a 5xx, a solver that failed to
+     converge, or SIGUSR1 the rings are dumped atomically as a Chrome
+     trace, so the first failure of a long-running process is
+     diagnosable after the fact. *)
 
   let enabled () = !Trace.flight_on
 
@@ -932,22 +864,7 @@ module Flight = struct
 
   let path () = !out_path
 
-  let push ev =
-    let r = Domain.DLS.get ring_key in
-    Mutex.protect r.rm (fun () ->
-        r.slots.(r.next mod ring_capacity) <- Some ev;
-        r.next <- r.next + 1)
-
-  let () = Trace.flight_push_ev := push
-
-  let clear () =
-    Mutex.protect rings_mutex (fun () ->
-        List.iter
-          (fun r ->
-            Mutex.protect r.rm (fun () ->
-                Array.fill r.slots 0 ring_capacity None;
-                r.next <- 0))
-          !all_rings)
+  let clear () = List.iter Ring.clear (Ring.all Trace.flight_rings)
 
   let dump_total = Atomic.make 0
 
@@ -956,19 +873,8 @@ module Flight = struct
   let m_dumps = Metrics.counter "flight.dumps"
 
   let dump ?(reason = "manual") () =
-    let events =
-      Mutex.protect rings_mutex (fun () ->
-          List.concat_map
-            (fun r ->
-              Mutex.protect r.rm (fun () ->
-                  let n = min r.next ring_capacity in
-                  let first = r.next - n in
-                  List.init n (fun i ->
-                      match r.slots.((first + i) mod ring_capacity) with
-                      | Some ev -> ev
-                      | None -> assert false)))
-            !all_rings)
-    in
+    let events = List.concat_map Ring.snapshot (Ring.all Trace.flight_rings) in
+    (* stamped after the snapshot, so it sorts after every event in it *)
     let marker =
       {
         Trace.ev_name = "flight.dump";
@@ -980,16 +886,7 @@ module Flight = struct
         ev_trace = None;
       }
     in
-    let events = List.sort Trace.by_ts events @ [ marker ] in
-    let buf = Buffer.create 65536 in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i ev ->
-        Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-        Trace.event_json buf ev)
-      events;
-    Buffer.add_string buf "\n]\n";
-    write_file_atomic !out_path (Buffer.contents buf);
+    Trace.write_trace !out_path (events @ [ marker ]);
     ignore (Atomic.fetch_and_add dump_total 1 : int);
     Metrics.incr m_dumps
 
@@ -1048,5 +945,6 @@ let init () =
     | Some path ->
         Metrics.set_enabled true;
         at_exit (fun () ->
-            write_file_atomic path (Metrics.to_json (Metrics.snapshot ())))
+            write_file_atomic path
+              (Json.to_string (Metrics.to_json (Metrics.snapshot ())) ^ "\n"))
   end

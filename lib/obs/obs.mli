@@ -2,8 +2,8 @@
     a flight recorder.
 
     The numeric pipelines behind the paper's artifacts — uniformization
-    sweeps, Fox–Glynn windows, Gauss–Seidel/Jacobi solves, lumping — are
-    instrumented through this layer. It has three sinks:
+    sweeps, Fox–Glynn windows, Gauss–Seidel and power-iteration solves,
+    lumping — are instrumented through this layer. It has three sinks:
 
     - {!Trace}: nestable, monotonic-clock timed spans with key/value
       attributes and optional W3C trace-context linkage, buffered
@@ -17,6 +17,11 @@
     - {!Flight}: an always-cheap bounded ring of recent spans, dumped as
       a Chrome trace on failure (5xx, solver non-convergence, SIGUSR1)
       for after-the-fact diagnosis in long-running daemons.
+
+    All three keep their recent events in one kind of bounded ring
+    (drop-oldest, with a drop count): a trace flush drains the per-domain
+    trace rings, a flight dump and a metrics snapshot copy theirs. Every
+    file they write is built as a {!Json.t} and printed by {!Json}.
 
     {!Trace} and {!Metrics} are {e disabled by default} and effectively
     free when off: every record site reduces to a single flag check and
@@ -165,7 +170,7 @@ module Metrics : sig
 
   val pp : Format.formatter -> snapshot -> unit
 
-  val to_json : snapshot -> string
+  val to_json : snapshot -> Json.t
   (** The snapshot as one JSON object with [counters], [gauges],
       [histograms] and [solves] members. *)
 
@@ -304,9 +309,10 @@ module Flight : sig
 
   val set_enabled : bool -> unit
   (** When enabled, every closed span and instant is also stored in a
-      bounded per-domain ring (newest overwrite oldest), independent of
-      whether file tracing is on. Recording is one lock-protected array
-      store — cheap enough to leave on in a serving daemon. *)
+      bounded per-domain ring (the last 512 events; older ones are
+      dropped), independent of whether file tracing is on. Recording is
+      one lock-protected push — cheap enough to leave on in a serving
+      daemon. *)
 
   val set_path : string -> unit
   (** Where {!dump} writes; default [arcade-flight.json]. *)
@@ -314,9 +320,10 @@ module Flight : sig
   val path : unit -> string
 
   val dump : ?reason:string -> unit -> unit
-  (** Atomically write the ring contents (all domains, sorted, plus a
-      [flight.dump] marker carrying [reason]) as a Chrome trace to
-      {!path}. Bumps the [flight.dumps] counter. *)
+  (** Atomically write a snapshot of the rings (all domains, sorted,
+      plus a [flight.dump] marker carrying [reason]) as a Chrome trace to
+      {!path}; the rings keep their contents. Bumps the [flight.dumps]
+      counter. *)
 
   val dump_count : unit -> int
   (** Number of dumps performed by this process. *)

@@ -1,9 +1,8 @@
 (* Tests for the Obs observability layer: Chrome-trace span export
-   (parsed back with a minimal JSON reader, since the dependency set has
-   no JSON library), the metrics registry and its cross-domain merging,
-   solver-convergence telemetry, the Analysis stats/registry agreement,
-   and the guarantee that enabling observability does not perturb
-   analysis results. *)
+   (parsed back with the tree's Json codec), the metrics registry and its
+   cross-domain merging, solver-convergence telemetry, the Analysis
+   stats/registry agreement, and the guarantee that enabling
+   observability does not perturb analysis results. *)
 
 module Solver = Numeric.Solver
 module Sparse = Numeric.Sparse
@@ -11,166 +10,14 @@ module Chain = Ctmc.Chain
 module Analysis = Ctmc.Analysis
 module Experiments = Watertreatment.Experiments
 
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON reader, enough to validate what Obs emits *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = Some c then incr pos
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let k = String.length word in
-    if !pos + k <= n && String.sub s !pos k = word then begin
-      pos := !pos + k;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-          incr pos;
-          Buffer.contents buf
-      | '\\' ->
-          incr pos;
-          if !pos >= n then fail "truncated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              pos := !pos + 4;
-              (* control characters only; good enough for our own output *)
-              Buffer.add_char buf (Char.chr (code land 0xff))
-          | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      incr pos
-    done;
-    if !pos = start then fail "expected a value";
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ((key, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                Jobj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jlist []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elems (v :: acc)
-            | Some ']' ->
-                incr pos;
-                Jlist (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elems []
-        end
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function Jobj kvs -> List.assoc_opt key kvs | _ -> None
-
 let get_num key ev =
-  match member key ev with
-  | Some (Jnum x) -> x
+  match Json.member key ev with
+  | Some (Json.Num x) -> x
   | _ -> Alcotest.fail (Printf.sprintf "missing numeric member %S" key)
 
 let get_str key ev =
-  match member key ev with
-  | Some (Jstr x) -> x
+  match Json.member key ev with
+  | Some (Json.Str x) -> x
   | _ -> Alcotest.fail (Printf.sprintf "missing string member %S" key)
 
 let read_file path =
@@ -227,8 +74,8 @@ let test_trace_roundtrip () =
   Obs.Trace.flush ();
   Obs.Trace.set_output None;
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "trace is not a JSON array"
   in
   Sys.remove path;
@@ -237,7 +84,7 @@ let test_trace_roundtrip () =
     (fun ev ->
       List.iter
         (fun k ->
-          Alcotest.(check bool) (k ^ " present") true (member k ev <> None))
+          Alcotest.(check bool) (k ^ " present") true (Json.member k ev <> None))
         [ "name"; "ph"; "ts"; "pid"; "tid" ])
     events;
   let ts = List.map (get_num "ts") events in
@@ -248,7 +95,7 @@ let test_trace_roundtrip () =
   Alcotest.(check bool) "events ordered by timestamp" true (sorted ts);
   let find name =
     match
-      List.find_opt (fun ev -> member "name" ev = Some (Jstr name)) events
+      List.find_opt (fun ev -> Json.member "name" ev = Some (Json.Str name)) events
     with
     | Some ev -> ev
     | None -> Alcotest.fail (Printf.sprintf "no event named %S" name)
@@ -266,14 +113,14 @@ let test_trace_roundtrip () =
   let t0 = get_num "ts" tick in
   Alcotest.(check bool) "instant inside outer" true
     (t0 +. slack >= o0 && t0 <= o0 +. odur +. slack);
-  match member "args" outer with
-  | Some (Jobj args) ->
+  match Json.member "args" outer with
+  | Some (Json.Obj args) ->
       Alcotest.(check bool)
         "creation attribute kept" true
-        (List.assoc_opt "kind" args = Some (Jstr "test"));
+        (List.assoc_opt "kind" args = Some (Json.Str "test"));
       Alcotest.(check bool)
         "added attribute kept" true
-        (List.assoc_opt "answer" args = Some (Jnum 42.))
+        (List.assoc_opt "answer" args = Some (Json.Num 42.))
   | _ -> Alcotest.fail "outer span lost its args"
 
 (* ------------------------------------------------------------------ *)
@@ -362,23 +209,23 @@ let test_trace_context_propagation () =
   Obs.Trace.flush ();
   Obs.Trace.set_output None;
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "context trace is not a JSON array"
   in
   Sys.remove path;
   let args_of ev =
-    match member "args" ev with Some (Jobj kvs) -> kvs | _ -> []
+    match Json.member "args" ev with Some (Json.Obj kvs) -> kvs | _ -> []
   in
-  let named name ev = member "name" ev = Some (Jstr name) in
+  let named name ev = Json.member "name" ev = Some (Json.Str name) in
   (match List.find_opt (named "ctx_root") events with
   | Some ev ->
       Alcotest.(check bool)
         "root carries the caller-minted ids" true
         (List.assoc_opt "trace_id" (args_of ev)
-         = Some (Jstr ctx.Obs.Trace.trace_id)
+         = Some (Json.Str ctx.Obs.Trace.trace_id)
         && List.assoc_opt "span_id" (args_of ev)
-           = Some (Jstr ctx.Obs.Trace.span_id))
+           = Some (Json.Str ctx.Obs.Trace.span_id))
   | None -> Alcotest.fail "no ctx_root span");
   let workers = List.filter (named "ctx_worker") events in
   Alcotest.(check bool) "worker spans recorded" true (workers <> []);
@@ -387,7 +234,7 @@ let test_trace_context_propagation () =
       Alcotest.(check bool)
         "worker span joins the submitting trace" true
         (List.assoc_opt "trace_id" (args_of ev)
-        = Some (Jstr ctx.Obs.Trace.trace_id)))
+        = Some (Json.Str ctx.Obs.Trace.trace_id)))
     workers
 
 (* ------------------------------------------------------------------ *)
@@ -395,7 +242,7 @@ let test_trace_context_propagation () =
 
 let count_named name events =
   List.length
-    (List.filter (fun ev -> member "name" ev = Some (Jstr name)) events)
+    (List.filter (fun ev -> Json.member "name" ev = Some (Json.Str name)) events)
 
 let test_trace_bounded_buffers () =
   let path = Filename.temp_file "arcade_obs_bounded" ".json" in
@@ -414,8 +261,8 @@ let test_trace_bounded_buffers () =
   Obs.Trace.set_buffer_capacity None;
   Obs.Trace.set_output None;
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "bounded trace is not a JSON array"
   in
   Sys.remove path;
@@ -433,6 +280,31 @@ let test_trace_bounded_buffers () =
   Alcotest.(check int) "clear resets the dropped count" 0
     (Obs.Trace.dropped_events ())
 
+(* a bound set while the buffer already holds more events trims it to
+   the bound on the next record, counting every event it drops *)
+let test_trace_capacity_lowered () =
+  let path = Filename.temp_file "arcade_obs_lowered" ".json" in
+  Obs.Trace.set_output (Some path);
+  Obs.Trace.set_buffer_capacity None;
+  for i = 1 to 10 do
+    Obs.Trace.instant (Printf.sprintf "lowered_ev%d" i)
+  done;
+  Obs.Trace.set_buffer_capacity (Some 4);
+  Obs.Trace.instant "lowered_ev11";
+  Alcotest.(check int) "seven dropped" 7 (Obs.Trace.dropped_events ());
+  Obs.Trace.flush ();
+  Obs.Trace.set_buffer_capacity None;
+  Obs.Trace.set_output None;
+  let events =
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
+    | _ -> Alcotest.fail "trace is not a JSON array"
+  in
+  Sys.remove path;
+  Alcotest.(check int) "trimmed to the bound" 4 (List.length events);
+  Alcotest.(check int) "newest kept" 1 (count_named "lowered_ev11" events);
+  Obs.Trace.clear ()
+
 let test_trace_output_cycling () =
   (* cycling None -> Some must start a fresh recording: the second file
      holds only events recorded after the second set_output, never a
@@ -448,8 +320,8 @@ let test_trace_output_cycling () =
   Obs.Trace.flush ();
   Obs.Trace.set_output None;
   let parse path =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail (path ^ " is not a JSON array")
   in
   let e1 = parse p1 and e2 = parse p2 in
@@ -491,8 +363,8 @@ let test_trace_incremental_flush () =
     t ^ "]"
   in
   let events =
-    match parse_json closed with
-    | Jlist evs -> evs
+    match Json.parse closed with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "closed incremental trace is not a JSON array"
   in
   Alcotest.(check int) "first flush appended once" 1 (count_named "inc_a" events);
@@ -576,8 +448,8 @@ let test_flight_ring_dump () =
   Obs.Flight.dump ~reason:"unit_test" ();
   Alcotest.(check int) "dump counted" (n0 + 1) (Obs.Flight.dump_count ());
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "flight dump is not a JSON array"
   in
   Alcotest.(check int) "ring kept the span" 1 (count_named "flight_span" events);
@@ -585,15 +457,15 @@ let test_flight_ring_dump () =
     (count_named "flight_tick" events);
   (match
      List.find_opt
-       (fun ev -> member "name" ev = Some (Jstr "flight.dump"))
+       (fun ev -> Json.member "name" ev = Some (Json.Str "flight.dump"))
        events
    with
   | Some marker -> (
-      match member "args" marker with
-      | Some (Jobj kvs) ->
+      match Json.member "args" marker with
+      | Some (Json.Obj kvs) ->
           Alcotest.(check bool)
             "marker carries the reason" true
-            (List.assoc_opt "reason" kvs = Some (Jstr "unit_test"))
+            (List.assoc_opt "reason" kvs = Some (Json.Str "unit_test"))
       | _ -> Alcotest.fail "flight.dump marker has no args")
   | None -> Alcotest.fail "no flight.dump marker");
   (* async-signal path: request only sets a flag, poll performs the dump *)
@@ -689,20 +561,20 @@ let test_metrics_json () =
       Alcotest.(check bool) "ring keeps convergence" true
         solve.Obs.Metrics.converged
   | None -> Alcotest.fail "recorded solve missing from ring");
-  match parse_json (Obs.Metrics.to_json snap) with
-  | Jobj members ->
+  match Json.parse (Json.to_string (Obs.Metrics.to_json snap)) with
+  | Json.Obj members ->
       List.iter
         (fun k ->
           Alcotest.(check bool) (k ^ " member") true (List.mem_assoc k members))
         [ "counters"; "gauges"; "histograms"; "solves" ];
       (match List.assoc "counters" members with
-      | Jobj cs ->
+      | Json.Obj cs ->
           Alcotest.(check bool)
             "counter serialized" true
-            (List.assoc_opt "test.json_counter" cs = Some (Jnum 7.))
+            (List.assoc_opt "test.json_counter" cs = Some (Json.Num 7.))
       | _ -> Alcotest.fail "counters member is not an object");
       (match List.assoc "solves" members with
-      | Jlist (_ :: _) -> ()
+      | Json.List (_ :: _) -> ()
       | _ -> Alcotest.fail "solves member is not a non-empty array")
   | _ -> Alcotest.fail "snapshot JSON is not an object"
 
@@ -924,15 +796,15 @@ let test_obs_invariance () =
   check_same "fig3" base3 obs3;
   check_same "fig4" base4 obs4;
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "experiment trace is not a JSON array"
   in
   Sys.remove path;
   let has name =
     List.exists
       (fun ev ->
-        match member "name" ev with Some (Jstr s) -> s = name | _ -> false)
+        match Json.member "name" ev with Some (Json.Str s) -> s = name | _ -> false)
       events
   in
   Alcotest.(check bool) "fig3 artifact span" true (has "experiment.fig3");
@@ -969,6 +841,8 @@ let () =
         [
           Alcotest.test_case "bounded buffers drop oldest" `Quick
             test_trace_bounded_buffers;
+          Alcotest.test_case "lowering the capacity trims" `Quick
+            test_trace_capacity_lowered;
           Alcotest.test_case "output cycling starts fresh" `Quick
             test_trace_output_cycling;
           Alcotest.test_case "incremental flush appends" `Quick

@@ -97,7 +97,46 @@ let fetch_stats port =
 (* ------------------------------------------------------------------ *)
 (* Json unit tests *)
 
-let test_json_roundtrip () =
+(* Strings mix arbitrary bytes (control characters, non-ASCII) with
+   the characters the printer must escape. *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (3, char); (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\x1f'; '\xe9'; '/' ]) ]
+  in
+  let str = string_size ~gen:byte (int_bound 10) in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun x -> Json.Num (if Float.is_finite x then x else 0.)) float;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun m -> Json.Obj m)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+(* the printer's output parses back to the same value, member order and
+   duplicate keys included *)
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"roundtrip"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+let test_json_documents () =
   let cases =
     [
       "null";
@@ -116,6 +155,37 @@ let test_json_roundtrip () =
   match Json.parse {|{"x": 1.5}|} with
   | Json.Obj [ ("x", Json.Num x) ] -> Alcotest.(check (float 0.)) "value" 1.5 x
   | _ -> Alcotest.fail "unexpected parse"
+
+let test_json_non_finite () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string) (Float.to_string x) "null" (Json.to_string (Json.Num x)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check string)
+    "inside a document" {|[null,{"x":null}]|}
+    (Json.to_string
+       (Json.List [ Json.num Float.nan; Json.Obj [ ("x", Json.Num Float.infinity) ] ]))
+
+let nested d = String.make d '[' ^ String.make d ']'
+
+let test_json_depth () =
+  (match Json.parse (nested 512) with
+  | Json.List [ _ ] -> ()
+  | _ -> Alcotest.fail "512 levels must parse");
+  List.iter
+    (fun src ->
+      match Json.parse src with
+      | _ -> Alcotest.fail "nesting past 512 must not parse"
+      | exception Json.Parse_error msg ->
+          Alcotest.(check bool)
+            ("message names the bound: " ^ msg)
+            true
+            (contains msg "nesting deeper than 512"))
+    [
+      nested 513;
+      nested 1_000_000;
+      String.concat "" (List.init 300 (fun _ -> {|{"k":[|}));
+    ]
 
 let test_json_errors () =
   List.iter
@@ -211,15 +281,19 @@ let test_malformed_json () =
       Fun.protect
         ~finally:(fun () -> Http.close cl)
         (fun () ->
-          let status, body =
-            Http.call cl ~meth:"POST" ~path:"/analyze" ~body:"{nope" ()
-          in
-          Alcotest.(check int) "bad json status" 400 status;
-          Alcotest.(check bool)
-            "error mentions json" true
-            (match Json.string_field "error" (Json.parse body) with
-            | Some msg -> contains msg "JSON" || contains msg "json"
-            | None -> false);
+          (* a syntax error, and a body nested a million levels deep *)
+          List.iter
+            (fun bad ->
+              let status, body =
+                Http.call cl ~meth:"POST" ~path:"/analyze" ~body:bad ()
+              in
+              Alcotest.(check int) "bad json status" 400 status;
+              Alcotest.(check bool)
+                "error mentions json" true
+                (match Json.string_field "error" (Json.parse body) with
+                | Some msg -> contains msg "JSON" || contains msg "json"
+                | None -> false))
+            [ "{nope"; nested 1_000_000 ];
           (* same connection still serves *)
           let status, _ = Http.call cl ~meth:"GET" ~path:"/health" () in
           Alcotest.(check int) "still alive" 200 status))
@@ -591,8 +665,12 @@ let () =
     [
       ( "json",
         [
-          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "fixed documents" `Quick test_json_documents;
           Alcotest.test_case "parse errors" `Quick test_json_errors;
+          Alcotest.test_case "non-finite numbers print null" `Quick
+            test_json_non_finite;
+          Alcotest.test_case "nesting depth bound" `Quick test_json_depth;
         ] );
       ( "protocol",
         [
