@@ -91,7 +91,6 @@ type t = {
   chain : Chain.t;
   mutable unif : (float * Sparse.t) option;
   mutable emb : Sparse.t option;
-  mutable graph : Digraph.t option;
   mutable scc : (int array * int list array) option;
   mutable bscc : int list array option;
   weight_tbl : (float * float, Fox_glynn.t) Hashtbl.t;
@@ -113,7 +112,6 @@ let create chain =
     chain;
     unif = None;
     emb = None;
-    graph = None;
     scc = None;
     bscc = None;
     weight_tbl = Hashtbl.create 16;
@@ -173,13 +171,8 @@ let embedded t =
       t.emb <- Some e;
       e
 
-let graph t =
-  match t.graph with
-  | Some g -> g
-  | None ->
-      let g = Digraph.of_sparse (Chain.rates t.chain) in
-      t.graph <- Some g;
-      g
+(* A view over the rate matrix's own arrays: free to form, so not cached. *)
+let graph t = Digraph.of_sparse (Chain.rates t.chain)
 
 let sccs t =
   match t.scc with
@@ -193,7 +186,7 @@ let bottom_sccs t =
   match t.bscc with
   | Some b -> b
   | None ->
-      let b = Digraph.bottom_sccs (graph t) in
+      let b = Digraph.bottom_sccs (graph t) (sccs t) in
       t.bscc <- Some b;
       b
 

@@ -50,13 +50,15 @@ val weights : ?epsilon:float -> t -> float -> Numeric.Fox_glynn.t
     instead of silently recomputing forever. *)
 
 val graph : t -> Numeric.Digraph.t
-(** The transition digraph, built once per session. *)
+(** The transition digraph: a view over the rate matrix's own CSR arrays
+    ({!Numeric.Digraph.of_sparse}, no copy). *)
 
 val sccs : t -> int array * int list array
 (** {!Numeric.Digraph.sccs} of {!graph}, computed once per session. *)
 
 val bottom_sccs : t -> int list array
-(** The recurrent classes, computed once per session. *)
+(** The recurrent classes, computed once per session from {!sccs} (one
+    Tarjan pass serves both). *)
 
 val is_irreducible : t -> bool
 

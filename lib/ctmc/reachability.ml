@@ -88,16 +88,19 @@ let interval_until ?epsilon ?analysis m ~phi ~psi ~lower ~upper =
 let unbounded_until ?(tol = 1e-13) ?(scc_order = true) ?analysis m ~phi ~psi =
   let n = Chain.states m in
   let result = Vec.zeros n in
-  (* graph restricted to edges leaving phi-and-not-psi states *)
-  let g = Numeric.Digraph.create n in
-  Sparse.iteri (Chain.rates m) (fun i j _ ->
-      if phi i && not (psi i) then Numeric.Digraph.add_edge g i j);
+  let a = Analysis.for_chain analysis m in
+  let psi = Array.init n psi in
+  let active = Array.init n (fun s -> (not psi.(s)) && phi s) in
+  (* backward search from the psi states that only enters phi-and-not-psi
+     states: exactly the states with a phi-path into psi *)
   let targets = ref [] in
   for s = 0 to n - 1 do
-    if psi s then targets := s :: !targets
+    if psi.(s) then targets := s :: !targets
   done;
-  let can_reach = Numeric.Digraph.coreachable g !targets in
-  let maybe = Array.init n (fun s -> (not (psi s)) && phi s && can_reach.(s)) in
+  let can_reach =
+    Numeric.Digraph.coreachable ~within:active (Analysis.graph a) !targets
+  in
+  let maybe = Array.init n (fun s -> active.(s) && can_reach.(s)) in
   let index = Array.make n (-1) in
   let count = ref 0 in
   for s = 0 to n - 1 do
@@ -108,10 +111,9 @@ let unbounded_until ?(tol = 1e-13) ?(scc_order = true) ?analysis m ~phi ~psi =
   done;
   let nm = !count in
   for s = 0 to n - 1 do
-    if psi s then result.(s) <- 1.
+    if psi.(s) then result.(s) <- 1.
   done;
   if nm > 0 then begin
-    let a = Analysis.for_chain analysis m in
     let emb = Analysis.embedded a in
     (* (I - A) x = b *)
     let b = Sparse.Builder.create ~rows:nm ~cols:nm in
@@ -122,7 +124,7 @@ let unbounded_until ?(tol = 1e-13) ?(scc_order = true) ?analysis m ~phi ~psi =
         states.(index.(s)) <- s;
         Sparse.Builder.add b index.(s) index.(s) 1.;
         Sparse.iter_row emb s (fun j p ->
-            if psi j then rhs.(index.(s)) <- rhs.(index.(s)) +. p
+            if psi.(j) then rhs.(index.(s)) <- rhs.(index.(s)) +. p
             else if maybe.(j) then Sparse.Builder.add b index.(s) index.(j) (-.p))
       end
     done;

@@ -9,71 +9,89 @@ let default_tol = 1e-12
 let is_irreducible ?analysis m =
   Analysis.is_irreducible (Analysis.for_chain analysis m)
 
-(* Stationary vector of an irreducible generator. Gauss-Seidel on the
-   normalized singular system converges fast on most chains but is not
-   guaranteed to (the iteration matrix of a singular splitting can have
-   modulus-1 eigenvalues); when it gives up we fall back to power iteration
-   on the uniformized DTMC, which is aperiodic by construction (the
-   uniformization rate strictly exceeds the maximal exit rate, so every
-   state keeps a self-loop) and therefore always converges. *)
-let stationary_of_generator ?tol q =
+(* Stationary vector of an irreducible chain from its transposed rate
+   matrix and exit rates. Gauss-Seidel on the normalized singular system
+   converges fast on most chains but is not guaranteed to (the iteration
+   matrix of a singular splitting can have modulus-1 eigenvalues); when it
+   gives up we fall back to power iteration on the uniformized DTMC
+   P = I + (R - diag exit) / lambda, built from the same two inputs, which
+   is aperiodic by construction (the uniformization rate strictly exceeds
+   the maximal exit rate, so every state keeps a self-loop) and therefore
+   always converges. *)
+let stationary ?tol ?max_iter ~exit rt =
   Obs.Trace.with_span "steady_state.stationary" @@ fun span ->
   if Obs.Trace.recording span then
-    Obs.Trace.add_attr span "states" (Obs.Int (Sparse.rows q));
-  match Numeric.Solver.steady_state_gauss_seidel ?tol q with
+    Obs.Trace.add_attr span "states" (Obs.Int (Sparse.rows rt));
+  match Numeric.Solver.stationary ?tol ?max_iter ~exit rt with
   | pi, _ -> pi
   | exception Numeric.Solver.Did_not_converge _ ->
       Obs.Trace.add_attr span "fallback" (Obs.Str "power_iteration");
-      let n = Sparse.rows q in
-      let max_exit =
-        let m = ref 0. in
-        Sparse.iteri q (fun i j x -> if i = j && -.x > !m then m := -.x);
-        !m
-      in
-      let lambda = Float.max 1e-10 (max_exit *. 1.02) in
+      let n = Sparse.rows rt in
+      let lambda = Float.max 1e-10 (Vec.max_entry exit *. 1.02) in
       let b = Sparse.Builder.create ~rows:n ~cols:n in
-      Sparse.iteri q (fun i j x ->
-          if i = j then Sparse.Builder.add b i i (1. +. (x /. lambda))
-          else Sparse.Builder.add b i j (x /. lambda));
-      (* states with no diagonal entry in q are absorbing: self-loop 1 *)
-      let has_diag = Array.make n false in
-      Sparse.iteri q (fun i j _ -> if i = j then has_diag.(i) <- true);
-      Array.iteri (fun i present -> if not present then Sparse.Builder.add b i i 1.) has_diag;
-      let p = Sparse.Builder.to_csr b in
+      Sparse.iteri rt (fun j i x -> Sparse.Builder.add b i j (x /. lambda));
+      Array.iteri (fun i e -> Sparse.Builder.add b i i (1. -. (e /. lambda))) exit;
       let pi0 = Vec.create n (1. /. float_of_int n) in
-      let pi, _ = Numeric.Solver.power_iteration ?tol p pi0 in
+      let pi, _ = Numeric.Solver.power_iteration ?tol (Sparse.Builder.to_csr b) pi0 in
       Vec.normalize_l1 pi;
       pi
+
+let solve_chain ?tol m =
+  stationary ?tol ~exit:(Chain.exit_rates m) (Sparse.transpose (Chain.rates m))
 
 let solve_irreducible ?tol ?analysis m =
   if not (is_irreducible ?analysis m) then
     invalid_arg "Steady_state.solve_irreducible: chain is reducible";
-  stationary_of_generator ?tol (Chain.generator m)
+  solve_chain ?tol m
 
 (* Local steady state of one recurrent class, embedded back into the full
-   state space scaled by [weight]. *)
-let add_local_solution ?tol m members weight result =
+   state space scaled by [weight]. Local index [i] is [members.(i)], and
+   [local.(s)] is that position for every member [s]. The local R^T comes
+   straight out of a counting sort over the members' rows (visited in
+   local order, so each output row's columns ascend); a recurrent class
+   has no edge leaving it, so its exit rates are the chain's. *)
+let add_local_solution ?tol m ~in_class ~local c members weight result =
   match members with
-  | [] -> ()
-  | [ s ] -> result.(s) <- result.(s) +. weight
+  | [||] -> ()
+  | [| s |] -> result.(s) <- result.(s) +. weight
   | _ ->
-      let members = Array.of_list members in
       let k = Array.length members in
-      let index = Hashtbl.create k in
-      Array.iteri (fun i s -> Hashtbl.replace index s i) members;
-      let b = Sparse.Builder.create ~rows:k ~cols:k in
+      let rates = Chain.rates m and exits = Chain.exit_rates m in
+      let target j =
+        (* a BSCC has no outgoing edges; defensive *)
+        if in_class.(j) <> c then
+          invalid_arg "Steady_state: edge leaving a recurrent class";
+        local.(j)
+      in
+      let fill = Array.make (k + 1) 0 in
+      Array.iter
+        (fun s ->
+          Sparse.iter_row rates s (fun j r ->
+              if r <> 0. then
+                let jj = target j + 1 in
+                fill.(jj) <- fill.(jj) + 1))
+        members;
+      for i = 1 to k do
+        fill.(i) <- fill.(i) + fill.(i - 1)
+      done;
+      let open Bigarray in
+      let row_ptr = Array1.create int32 c_layout (k + 1) in
+      Array.iteri (fun i p -> row_ptr.{i} <- Int32.of_int p) fill;
+      let col_idx = Array1.create int32 c_layout fill.(k) in
+      let values = Array1.create float64 c_layout fill.(k) in
       Array.iteri
         (fun i s ->
-          Sparse.iter_row (Chain.rates m) s (fun j r ->
-              match Hashtbl.find_opt index j with
-              | Some jj ->
-                  Sparse.Builder.add b i jj r;
-                  Sparse.Builder.add b i i (-.r)
-              | None ->
-                  (* a BSCC has no outgoing edges; defensive *)
-                  invalid_arg "Steady_state: edge leaving a recurrent class"))
+          Sparse.iter_row rates s (fun j r ->
+              if r <> 0. then begin
+                let jj = target j in
+                let p = fill.(jj) in
+                col_idx.{p} <- Int32.of_int i;
+                values.{p} <- r;
+                fill.(jj) <- p + 1
+              end))
         members;
-      let pi = stationary_of_generator ?tol (Sparse.Builder.to_csr b) in
+      let rt = Sparse.of_csr ~rows:k ~cols:k ~row_ptr ~col_idx ~values in
+      let pi = stationary ?tol ~exit:(Array.map (fun s -> exits.(s)) members) rt in
       Array.iteri (fun i s -> result.(s) <- result.(s) +. (weight *. pi.(i))) members
 
 (* weights.(c) = P(eventually enter class c) from the initial
@@ -140,17 +158,29 @@ let bscc_weights ?tol a m bsccs in_bscc =
 
 let solve_fresh ?tol a m =
   let n = Chain.states m in
-  let _, sccs = Analysis.sccs a in
-  if Array.length sccs = 1 then stationary_of_generator ?tol (Chain.generator m)
+  if Analysis.is_irreducible a then solve_chain ?tol m
   else begin
     let bsccs = Analysis.bottom_sccs a in
     let result = Vec.zeros n in
-    let in_bscc = Array.make n (-1) in
-    Array.iteri (fun c members -> List.iter (fun s -> in_bscc.(s) <- c) members) bsccs;
+    let in_bscc = Array.make n (-1) and local = Array.make n (-1) in
+    let bsccs =
+      Array.mapi
+        (fun c members ->
+          let members = Array.of_list members in
+          Array.iteri
+            (fun i s ->
+              in_bscc.(s) <- c;
+              local.(s) <- i)
+            members;
+          members)
+        bsccs
+    in
     let weights = bscc_weights ?tol a m bsccs in_bscc in
     Array.iteri
       (fun c members ->
-        if weights.(c) > 0. then add_local_solution ?tol m members weights.(c) result)
+        if weights.(c) > 0. then
+          add_local_solution ?tol m ~in_class:in_bscc ~local c members weights.(c)
+            result)
       bsccs;
     result
   end

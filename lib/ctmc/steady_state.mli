@@ -5,6 +5,8 @@
     (recurrent classes), solves each in isolation, and weights the local
     solutions by the probability of reaching each class from the initial
     distribution — exactly PRISM's treatment of CSL's [S] operator.
+    Every stationary solve reads the transposed rate matrix and the exit
+    rates ({!stationary}); the generator is never formed.
 
     The class reach-weights come from {e one} multi-RHS Gauss–Seidel
     solve over the transient states — one right-hand-side column per
@@ -52,3 +54,17 @@ val long_run_probabilities :
     Results align 1:1 with [preds]. *)
 
 val is_irreducible : ?analysis:Analysis.t -> Chain.t -> bool
+
+val stationary :
+  ?tol:float ->
+  ?max_iter:int ->
+  exit:Numeric.Vec.t ->
+  Numeric.Sparse.t ->
+  Numeric.Vec.t
+(** [stationary ~exit rt] is the stationary vector of an irreducible chain
+    given its transposed rate matrix [rt] and exit rates — the solve behind
+    {!solve} for an irreducible chain and for each recurrent class:
+    {!Numeric.Solver.stationary}, and when that does not converge within
+    [max_iter] sweeps (default [100_000]), power iteration on the
+    uniformized chain [I + (R - diag exit) / lambda], built from the same
+    two inputs. *)

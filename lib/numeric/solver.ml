@@ -221,17 +221,18 @@ let solve_gauss_seidel_multi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
   in
   (x, records)
 
-(* pi Q = 0  <=>  Q^T pi^T = 0. Gauss-Seidel on the transposed system:
-   pi(j) <- sum_{i<>j} pi(i) * Q(i,j) / (-Q(j,j)), then renormalize. The
-   sweep is the generic kernel with b = 0: it computes (0 - sum) / Q(j,j),
-   the same value up to the sign of a zero. *)
-let steady_state_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
-    ?obs q =
-  let n = Sparse.rows q in
-  if Sparse.cols q <> n then invalid_arg "Solver.steady_state: not square";
-  if n = 0 then invalid_arg "Solver.steady_state: empty generator";
-  let qt = Sparse.transpose q in
-  let d = diagonal q in
+(* pi Q = 0 with Q = R - diag(exit)  <=>  R^T pi^T = exit .* pi^T.
+   Gauss-Seidel on the transposed system: pi(j) <- sum_{i<>j} pi(i) R(i,j)
+   / exit(j), then renormalize. The sweep is the generic kernel over R^T
+   with b = 0 and diagonal -exit: it computes (0 - sum) / (-exit(j)). The
+   kernel skips stored diagonal entries, so a sweep over Q^T would read the
+   same off-diagonal sequence: the iterates are those of the generator
+   formulation, bit for bit, without building Q or its transpose. *)
+let stationary ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs ~exit rt =
+  let n = Sparse.rows rt in
+  if Sparse.cols rt <> n || Vec.dim exit <> n then
+    invalid_arg "Solver.stationary: dimension mismatch";
+  if n = 0 then invalid_arg "Solver.stationary: empty chain";
   (* A state with exit rate 0 in an irreducible chain means n = 1. *)
   if n = 1 then begin
     let c =
@@ -244,12 +245,13 @@ let steady_state_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
     (Vec.create 1 1., c)
   end
   else begin
-    check_diagonal "steady_state_gauss_seidel" d;
+    let d = Array.map (fun x -> -.x) exit in
+    check_diagonal "stationary" d;
     let pi = Vec.create n (1. /. float_of_int n) in
     let zero = Vec.zeros n in
     span_states "steady_gauss_seidel" n @@ fun span ->
     let rec sweep iter =
-      let delta = Sparse.gauss_seidel_sweep qt ~diag:d ~b:zero ~x:pi in
+      let delta = Sparse.gauss_seidel_sweep rt ~diag:d ~b:zero ~x:pi in
       Vec.normalize_l1 pi;
       let scale = if rel_tol = None then 0. else max_abs pi in
       match fired ~tol ~rel_tol ~scale delta with

@@ -18,6 +18,9 @@
     update [?order] (e.g. an SCC topological order from {!Digraph.sccs}),
     which on DAG-like chains propagates dependencies in a single sweep.
 
+    {b Steady state.} {!stationary} is the one stationary-vector entry:
+    it reads the transposed rate matrix and the exit rates directly.
+
     {b Telemetry.} Every solver returns its {!convergence} record(s),
     passes them to the caller's [?obs] hook (also on non-convergence,
     before raising), reports them to the {!Obs} layer ([solver.<name>.*]
@@ -85,17 +88,24 @@ val solve_gauss_seidel_multi :
     [Did_not_converge] for the first unconverged column — after every
     column has been reported. *)
 
-val steady_state_gauss_seidel :
+val stationary :
   ?tol:float ->
   ?rel_tol:float ->
   ?max_iter:int ->
   ?obs:(convergence -> unit) ->
+  exit:Vec.t ->
   Sparse.t ->
   Vec.t * convergence
-(** [steady_state_gauss_seidel q] solves [pi Q = 0] with [sum pi = 1] for an
-    {e irreducible} CTMC generator [q] (row [i] holds the rates out of state
-    [i]; diagonal holds the negative exit rates). Gauss–Seidel on the
-    transposed system with per-sweep normalization. *)
+(** [stationary ~exit rt] solves [pi Q = 0] with [sum pi = 1] for an
+    {e irreducible} CTMC given as the {e transposed} off-diagonal rate
+    matrix [rt] (row [j] holds the rates {e into} state [j]) and the
+    exit-rate vector [exit]; the generator [Q = R - diag(exit)] is never
+    formed. Gauss–Seidel on the transposed system with per-sweep
+    normalization, starting from the uniform vector. The iterates equal,
+    bit for bit, those of the same sweep over [Q]{^T} with diagonal
+    [-exit]. Raises [Invalid_argument] on a shape mismatch, an empty chain
+    or (for [n > 1]) a zero exit rate, and [Did_not_converge] when
+    [max_iter] (default [100_000]) sweeps are not enough. *)
 
 val power_iteration :
   ?tol:float ->

@@ -157,6 +157,10 @@ let cols m = m.cols
 
 let nnz m = idx m.row_ptr m.rows
 
+let row_ptr m = m.row_ptr
+
+let col_idx m = m.col_idx
+
 let to_dense m =
   let d = Array.make_matrix m.rows m.cols 0. in
   for i = 0 to m.rows - 1 do

@@ -60,6 +60,13 @@ val cols : t -> int
 val nnz : t -> int
 (** Number of stored (structurally non-zero) entries. *)
 
+val row_ptr : t -> index_array
+(** The matrix's own row-pointer array (shared, not copied; do not mutate):
+    for read-only views such as {!Digraph.of_sparse}. *)
+
+val col_idx : t -> index_array
+(** The matrix's own column-index array (shared, not copied; do not mutate). *)
+
 val get : t -> int -> int -> float
 (** [get m i j] is the entry at [(i, j)] ([0.] when not stored).
     Logarithmic in the number of entries of row [i]. Raises

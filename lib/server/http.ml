@@ -21,51 +21,89 @@ let wants_close r =
 (* ------------------------------------------------------------------ *)
 (* Buffered reading                                                   *)
 
+(* One growable buffer per connection: bytes [start, stop) of [buf] are
+   read but not yet consumed. Reads append at [stop]; consuming advances
+   [start]. Room is made by sliding the live bytes to the front when they
+   fill at most half the buffer, and by doubling it otherwise, so reading
+   a body of n bytes costs O(n) copying. *)
 type conn = {
   fd : Unix.file_descr;
-  mutable pending : string;  (** bytes read but not yet consumed *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
 }
-
-let conn fd = { fd; pending = "" }
-
-let conn_fd c = c.fd
 
 let chunk_size = 8192
 
-(* false on EOF *)
-let read_more c =
-  let chunk = Bytes.create chunk_size in
-  let n = Unix.read c.fd chunk 0 chunk_size in
-  if n = 0 then false
-  else begin
-    c.pending <- c.pending ^ Bytes.sub_string chunk 0 n;
-    true
+let conn fd = { fd; buf = Bytes.create chunk_size; start = 0; stop = 0 }
+
+let conn_fd c = c.fd
+
+let available c = c.stop - c.start
+
+(* make room for at least [want] more bytes after [stop] *)
+let reserve c want =
+  let cap = Bytes.length c.buf in
+  if c.stop + want > cap then begin
+    let live = available c in
+    let dst =
+      if live + want <= cap / 2 then c.buf
+      else Bytes.create (max (2 * cap) (live + want))
+    in
+    Bytes.blit c.buf c.start dst 0 live;
+    c.buf <- dst;
+    c.start <- 0;
+    c.stop <- live
   end
 
-let find_substring hay needle from =
-  let nh = String.length hay and nn = String.length needle in
+(* false on EOF *)
+let read_more ?(want = chunk_size) c =
+  reserve c want;
+  let n = Unix.read c.fd c.buf c.stop (Bytes.length c.buf - c.stop) in
+  c.stop <- c.stop + n;
+  n > 0
+
+(* Hand the buffer of a large body back once it is consumed, so an idle
+   keep-alive connection does not pin it. *)
+let consume c len =
+  c.start <- c.start + len;
+  if c.start = c.stop && Bytes.length c.buf > max_head_bytes then begin
+    c.buf <- Bytes.create chunk_size;
+    c.start <- 0;
+    c.stop <- 0
+  end
+
+(* first CRLFCRLF at or after [from] among the buffered bytes *)
+let find_blank_line c from =
+  let b = c.buf in
   let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
+    if i + 4 > c.stop then None
+    else if
+      Bytes.get b i = '\r'
+      && Bytes.get b (i + 1) = '\n'
+      && Bytes.get b (i + 2) = '\r'
+      && Bytes.get b (i + 3) = '\n'
+    then Some i
     else go (i + 1)
   in
-  go (max 0 from)
+  go (max c.start from)
 
-(* Read until [pending] holds a complete header block; returns the head
-   (without the final CRLFCRLF) and leaves the rest in [pending]. [None]
-   on EOF before any byte. *)
+(* Read until the buffer holds a complete header block; returns the head
+   (without the final CRLFCRLF) and leaves the rest buffered. Each pass
+   scans only the bytes that arrived since the last one (offsets are kept
+   relative to [start], which a slide moves). [None] on EOF before any
+   byte. *)
 let read_head c =
-  let rec go scanned_upto =
-    match find_substring c.pending "\r\n\r\n" (scanned_upto - 3) with
+  let rec go scanned =
+    match find_blank_line c (c.start + scanned - 3) with
     | Some i ->
-        let head = String.sub c.pending 0 i in
-        c.pending <-
-          String.sub c.pending (i + 4) (String.length c.pending - i - 4);
+        let head = Bytes.sub_string c.buf c.start (i - c.start) in
+        consume c (i + 4 - c.start);
         Some head
     | None ->
-        if String.length c.pending > max_head_bytes then
+        if available c > max_head_bytes then
           raise (Bad_request "request head too large");
-        let before = String.length c.pending in
+        let before = available c in
         if read_more c then go before
         else if before = 0 then None
         else raise (Bad_request "connection closed mid-request")
@@ -74,14 +112,12 @@ let read_head c =
 
 let read_body c len =
   if len > max_body_bytes then raise (Bad_request "request body too large");
-  let rec fill () =
-    if String.length c.pending < len then
-      if read_more c then fill ()
-      else raise (Bad_request "connection closed mid-body")
-  in
-  fill ();
-  let body = String.sub c.pending 0 len in
-  c.pending <- String.sub c.pending len (String.length c.pending - len);
+  while available c < len do
+    if not (read_more ~want:(len - available c) c) then
+      raise (Bad_request "connection closed mid-body")
+  done;
+  let body = Bytes.sub_string c.buf c.start len in
+  consume c len;
   body
 
 let split_lines head = String.split_on_char '\n' head |> List.map String.trim

@@ -366,6 +366,125 @@ let test_steady_reducible_bscc_classes () =
   check_close ~eps:1e-9 "state 2" (0.5 *. 0.2) pi.(2);
   check_close ~eps:1e-9 "state 3" 0.5 pi.(3)
 
+(* The generator-based stationary solve that the R^T/exit path replaced,
+   kept as a reference: Gauss-Seidel over the transpose of Q =
+   Chain.generator with Q's own diagonal, from the uniform vector, with
+   per-sweep normalization. Returns the vector and the sweep count. *)
+let reference_stationary ?(tol = 1e-12) q =
+  let n = Sparse.rows q in
+  let qt = Sparse.transpose q in
+  let diag = Vec.zeros n in
+  Sparse.iteri q (fun i j x -> if i = j then diag.(i) <- diag.(i) +. x);
+  let pi = Vec.create n (1. /. float_of_int n) and zero = Vec.zeros n in
+  let rec sweep iter =
+    let delta = Sparse.gauss_seidel_sweep qt ~diag ~b:zero ~x:pi in
+    Vec.normalize_l1 pi;
+    if delta <= tol then iter else sweep (iter + 1)
+  in
+  let iterations = sweep 1 in
+  (pi, iterations)
+
+(* [f ()] with the metrics registry on, and the solves it recorded *)
+let recorded_solves f =
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_enabled false)
+    (fun () ->
+      let x = f () in
+      (x, (Obs.Metrics.snapshot ()).Obs.Metrics.solves))
+
+let test_steady_matches_generator_reference () =
+  List.iter
+    (fun name ->
+      let model, _ = Core.Xml_io.load (Filename.concat "../models" (name ^ ".xml")) in
+      let m = (Core.Semantics.build model).Core.Semantics.chain in
+      let expected, iterations = reference_stationary (Chain.generator m) in
+      let pi, solves = recorded_solves (fun () -> Steady_state.solve m) in
+      Alcotest.(check bool) (name ^ ": pi bit-identical") true (pi = expected);
+      match solves with
+      | [ s ] ->
+          Alcotest.(check string) (name ^ ": solver") "steady_gauss_seidel" s.Obs.Metrics.solver;
+          Alcotest.(check int) (name ^ ": iterations") iterations s.Obs.Metrics.iterations
+      | l -> Alcotest.failf "%s: expected one solve, got %d" name (List.length l))
+    [ "line1_ded"; "line2_ded"; "line2_frf-1"; "line2_frf-2"; "line2_fff-1"; "line2_fff-2" ]
+
+(* The per-class path before it: each recurrent class's local generator
+   built through a Hashtbl and Sparse.Builder, solved by the reference
+   above, weighted by the probability of eventually entering the class. *)
+let reference_reducible m =
+  let n = Chain.states m in
+  let result = Vec.zeros n in
+  let g = Numeric.Digraph.of_sparse (Chain.rates m) in
+  let sccs = Numeric.Digraph.sccs g in
+  let bsccs = Numeric.Digraph.bottom_sccs g sccs in
+  Alcotest.(check bool) "several classes" true (Array.length bsccs > 1);
+  Array.iter
+    (fun cls ->
+      let in_cls = Array.make n false in
+      List.iter (fun s -> in_cls.(s) <- true) cls;
+      let reach = Reachability.eventually m ~psi:(fun s -> in_cls.(s)) in
+      let weight = Vec.dot (Chain.initial m) reach in
+      let cls = Array.of_list cls in
+      let k = Array.length cls in
+      let index = Hashtbl.create k in
+      Array.iteri (fun i s -> Hashtbl.replace index s i) cls;
+      let b = Sparse.Builder.create ~rows:k ~cols:k in
+      Array.iteri
+        (fun i s ->
+          Sparse.iter_row (Chain.rates m) s (fun j r ->
+              let jj = Hashtbl.find index j in
+              Sparse.Builder.add b i jj r;
+              Sparse.Builder.add b i i (-.r)))
+        cls;
+      let pi = if k = 1 then [| 1. |] else fst (reference_stationary (Sparse.Builder.to_csr b)) in
+      Array.iteri (fun i s -> result.(s) <- result.(s) +. (weight *. pi.(i))) cls)
+    bsccs;
+  result
+
+let test_steady_reducible_matches_reference () =
+  (* transient 0-2, recurrent classes {3,4,5}, {6,7} and {8}; the initial
+     mass sits partly on transient states and partly inside a class *)
+  let m =
+    Chain.of_transitions ~states:9
+      ~init:[| 0.5; 0.2; 0.; 0.; 0.3; 0.; 0.; 0.; 0. |]
+      [
+        (0, 1, 1.5); (1, 0, 0.7); (1, 2, 2.); (0, 3, 0.4); (2, 6, 1.1);
+        (2, 8, 0.3); (1, 5, 0.9);
+        (3, 4, 2.); (4, 5, 3.); (5, 3, 1.); (4, 3, 0.5);
+        (6, 7, 4.); (7, 6, 0.25);
+      ]
+  in
+  let expected = reference_reducible m in
+  let pi = Steady_state.solve m in
+  Array.iteri
+    (fun s x -> check_close ~eps:1e-12 (Printf.sprintf "pi.(%d)" s) x pi.(s))
+    expected;
+  check_close ~eps:1e-12 "mass" 1. (Vec.sum pi)
+
+let test_steady_power_fallback () =
+  (* M/M/1/4 queue: one Gauss-Seidel sweep is not enough, so a cap of one
+     sweep must hand over to power iteration, which still finds pi *)
+  let lam = 1. and mu = 2. in
+  let m =
+    Chain.of_transitions ~states:5
+      (List.concat_map (fun i -> [ (i, i + 1, lam); (i + 1, i, mu) ]) [ 0; 1; 2; 3 ])
+  in
+  let rt = Sparse.transpose (Chain.rates m) in
+  let pi, solves =
+    recorded_solves (fun () ->
+        Steady_state.stationary ~max_iter:1 ~exit:(Chain.exit_rates m) rt)
+  in
+  let solvers = List.map (fun s -> s.Obs.Metrics.solver) solves in
+  Alcotest.(check (list string)) "capped sweep, then power iteration"
+    [ "steady_gauss_seidel"; "power_iteration" ] solvers;
+  let z = List.fold_left ( +. ) 0. (List.init 5 (fun i -> 0.5 ** float_of_int i)) in
+  Array.iteri
+    (fun i x -> check_close ~eps:1e-9 (Printf.sprintf "pi%d" i) ((0.5 ** float_of_int i) /. z) x)
+    pi
+
 let test_steady_depends_on_init () =
   let m =
     Chain.of_transitions ~states:3 ~init:(Vec.unit 3 1) [ (0, 1, 1.); (0, 2, 1.) ]
@@ -1250,6 +1369,12 @@ let () =
           Alcotest.test_case "two absorbing states" `Quick
             test_steady_reducible_two_absorbing;
           Alcotest.test_case "bscc classes" `Quick test_steady_reducible_bscc_classes;
+          Alcotest.test_case "equals the generator reference" `Quick
+            test_steady_matches_generator_reference;
+          Alcotest.test_case "reducible equals the per-class reference" `Quick
+            test_steady_reducible_matches_reference;
+          Alcotest.test_case "power-iteration fallback" `Quick
+            test_steady_power_fallback;
           Alcotest.test_case "initial distribution matters" `Quick
             test_steady_depends_on_init;
           Alcotest.test_case "long-run probability" `Quick test_long_run_probability;

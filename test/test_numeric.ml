@@ -416,17 +416,24 @@ let test_gs_zero_diagonal () =
     (Invalid_argument "Solver.solve_gauss_seidel: zero diagonal at row 0") (fun () ->
       ignore (Solver.solve_gauss_seidel a [| 1.; 1. |]))
 
+(* [Solver.stationary] reads R^T and the exit rates; split a dense
+   generator into those two inputs. *)
+let stationary_of_generator q =
+  let n = Array.length q in
+  let exit = Array.init n (fun i -> -.q.(i).(i)) in
+  let rt = Sparse.of_dense (Array.init n (fun j -> Array.init n (fun i -> if i = j then 0. else q.(i).(j)))) in
+  Solver.stationary ~exit rt
+
 let test_steady_state_two_state () =
   (* generator for rates 0->1: 2, 1->0: 3 *)
-  let q = Sparse.of_dense [| [| -2.; 2. |]; [| 3.; -3. |] |] in
-  let pi, _ = Solver.steady_state_gauss_seidel q in
+  let pi, _ = stationary_of_generator [| [| -2.; 2. |]; [| 3.; -3. |] |] in
   check_close ~eps:1e-10 "pi0" 0.6 pi.(0);
   check_close ~eps:1e-10 "pi1" 0.4 pi.(1)
 
 let test_steady_state_birth_death () =
   (* M/M/1/3 queue, lambda=1, mu=2: pi_i ~ (1/2)^i *)
-  let q =
-    Sparse.of_dense
+  let pi, _ =
+    stationary_of_generator
       [|
         [| -1.; 1.; 0.; 0. |];
         [| 2.; -3.; 1.; 0. |];
@@ -434,7 +441,6 @@ let test_steady_state_birth_death () =
         [| 0.; 0.; 2.; -2. |];
       |]
   in
-  let pi, _ = Solver.steady_state_gauss_seidel q in
   let z = 1. +. 0.5 +. 0.25 +. 0.125 in
   List.iteri
     (fun i expected -> check_close ~eps:1e-10 (Printf.sprintf "pi%d" i) expected pi.(i))
@@ -597,86 +603,169 @@ let test_expm_not_square () =
 (* ------------------------------------------------------------------ *)
 (* Digraph *)
 
+(* The list-based Tarjan the CSR view replaced, kept as an oracle: an
+   [int list] adjacency built by prepending (so successors come in reverse
+   insertion order), explicit [Stack] frames holding the unvisited rest of
+   each successor list. *)
+module Oracle_scc = struct
+  let sccs n edges =
+    let adj = Array.make n [] in
+    List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) edges;
+    let index = Array.make n (-1) in
+    let lowlink = Array.make n 0 in
+    let on_stack = Array.make n false in
+    let stack = Stack.create () in
+    let next_index = ref 0 in
+    let comp = Array.make n (-1) in
+    let members_rev = ref [] in
+    let comp_count = ref 0 in
+    let visit root =
+      let frames = Stack.create () in
+      let push v =
+        index.(v) <- !next_index;
+        lowlink.(v) <- !next_index;
+        incr next_index;
+        Stack.push v stack;
+        on_stack.(v) <- true;
+        Stack.push (v, ref adj.(v)) frames
+      in
+      push root;
+      while not (Stack.is_empty frames) do
+        let v, rest = Stack.top frames in
+        match !rest with
+        | w :: tl ->
+            rest := tl;
+            if index.(w) = -1 then push w
+            else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+        | [] ->
+            ignore (Stack.pop frames);
+            if lowlink.(v) = index.(v) then begin
+              let members = ref [] in
+              let continue = ref true in
+              while !continue do
+                let w = Stack.pop stack in
+                on_stack.(w) <- false;
+                comp.(w) <- !comp_count;
+                members := w :: !members;
+                if w = v then continue := false
+              done;
+              members_rev := !members :: !members_rev;
+              incr comp_count
+            end;
+            (match Stack.top_opt frames with
+            | Some (parent, _) -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+            | None -> ())
+      done
+    in
+    for v = 0 to n - 1 do
+      if index.(v) = -1 then visit v
+    done;
+    (comp, Array.of_list (List.rev !members_rev))
+end
+
 let test_scc_simple_cycle () =
-  let g = Digraph.create 3 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 2;
-  Digraph.add_edge g 2 0;
+  let g = Digraph.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
   let comp, members = Digraph.sccs g in
   Alcotest.(check int) "one SCC" 1 (Array.length members);
   Alcotest.(check int) "all same" comp.(0) comp.(2)
 
 let test_scc_chain () =
-  let g = Digraph.create 4 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 2;
-  Digraph.add_edge g 2 3;
+  let g = Digraph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
   let comp, members = Digraph.sccs g in
   Alcotest.(check int) "four SCCs" 4 (Array.length members);
   (* reverse topological order: edges go from higher comp index to lower *)
   Alcotest.(check bool) "rev topo" true (comp.(0) > comp.(1) && comp.(1) > comp.(2))
 
 let test_scc_two_components () =
-  let g = Digraph.create 5 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 0;
-  Digraph.add_edge g 1 2;
-  Digraph.add_edge g 2 3;
-  Digraph.add_edge g 3 2;
   (* vertex 4 isolated *)
-  let _, members = Digraph.sccs g in
-  Alcotest.(check int) "three SCCs" 3 (Array.length members);
-  let bsccs = Digraph.bottom_sccs g in
+  let g = Digraph.of_edges ~n:5 [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2) ] in
+  let sccs = Digraph.sccs g in
+  Alcotest.(check int) "three SCCs" 3 (Array.length (snd sccs));
+  let bsccs = Digraph.bottom_sccs g sccs in
   (* bottom SCCs: {2,3} and {4} *)
   Alcotest.(check int) "two BSCCs" 2 (Array.length bsccs)
 
 let test_scc_deep_chain_no_overflow () =
   let n = 200_000 in
-  let g = Digraph.create n in
-  for i = 0 to n - 2 do
-    Digraph.add_edge g i (i + 1)
-  done;
+  let g = Digraph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))) in
   let _, members = Digraph.sccs g in
   Alcotest.(check int) "all singletons" n (Array.length members)
 
+let test_scc_of_sparse_order () =
+  (* a matrix view visits successors in descending column order, as the
+     oracle does when fed the entries row by row in ascending order: from
+     0 the search enters 3 before 1, so {5} is component 0 and {1,2}
+     component 2 (ascending order would swap them) *)
+  let m =
+    Sparse.of_dense
+      [|
+        [| 0.; 1.; 0.; 1.; 0.; 0. |];
+        [| 0.; 0.; 1.; 0.; 0.; 0. |];
+        [| 0.; 1.; 0.; 0.; 0.; 0. |];
+        [| 0.; 0.; 0.; 0.; 1.; 1. |];
+        [| 0.; 0.; 0.; 1.; 0.; 0. |];
+        [| 0.; 0.; 0.; 0.; 0.; 0. |];
+      |]
+  in
+  let edges = Sparse.fold m ~init:[] ~f:(fun acc i j _ -> (i, j) :: acc) in
+  let expected = Oracle_scc.sccs 6 (List.rev edges) in
+  let actual = Digraph.sccs (Digraph.of_sparse m) in
+  Alcotest.(check (array int)) "comp" [| 3; 2; 2; 1; 1; 0 |] (fst actual);
+  Alcotest.(check (array int)) "comp = oracle" (fst expected) (fst actual);
+  Alcotest.(check (array (list int))) "members = oracle" (snd expected) (snd actual)
+
 let test_reachability () =
-  let g = Digraph.create 4 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 2 3;
+  let g = Digraph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
   let r = Digraph.reachable g [ 0 ] in
   Alcotest.(check (list bool)) "reach from 0" [ true; true; false; false ]
     (Array.to_list r);
   let co = Digraph.coreachable g [ 3 ] in
   Alcotest.(check (list bool)) "coreach 3" [ false; false; true; true ]
-    (Array.to_list co)
+    (Array.to_list co);
+  (* a path may only pass through [within] vertices *)
+  let g = Digraph.of_edges ~n:4 [ (0, 1); (1, 3); (2, 3) ] in
+  let within = [| true; false; true; false |] in
+  Alcotest.(check (list bool)) "coreach 3 within" [ false; false; true; true ]
+    (Array.to_list (Digraph.coreachable ~within g [ 3 ]));
+  Alcotest.(check (list bool)) "reach 0 within" [ true; false; false; false ]
+    (Array.to_list (Digraph.reachable ~within g [ 0 ]))
 
+(* self-loops, parallel edges and isolated vertices all occur *)
 let random_graph_gen =
   QCheck.Gen.(
     let* n = int_range 1 12 in
     let* edges = list_size (int_range 0 30) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) in
     return (n, edges))
 
+let prop_sccs_match_oracle =
+  QCheck.Test.make ~count:500 ~name:"SCCs equal the list-based oracle exactly"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (pair int int)))
+       random_graph_gen)
+    (fun (n, edges) ->
+      Digraph.sccs (Digraph.of_edges ~n edges) = Oracle_scc.sccs n edges)
+
 let prop_condensation_acyclic =
   QCheck.Test.make ~count:200 ~name:"SCC condensation has no forward edges"
     (QCheck.make random_graph_gen)
     (fun (n, edges) ->
-      let g = Digraph.create n in
-      List.iter (fun (u, v) -> Digraph.add_edge g u v) edges;
-      let comp, _ = Digraph.sccs g in
+      let comp, _ = Digraph.sccs (Digraph.of_edges ~n edges) in
       List.for_all (fun (u, v) -> comp.(u) >= comp.(v)) edges)
 
 let prop_bottom_sccs_have_no_exit =
   QCheck.Test.make ~count:200 ~name:"bottom SCCs have no leaving edges"
     (QCheck.make random_graph_gen)
     (fun (n, edges) ->
-      let g = Digraph.create n in
-      List.iter (fun (u, v) -> Digraph.add_edge g u v) edges;
-      let bsccs = Digraph.bottom_sccs g in
+      let g = Digraph.of_edges ~n edges in
+      let bsccs = Digraph.bottom_sccs g (Digraph.sccs g) in
       Array.for_all
         (fun members ->
           List.for_all
             (fun u ->
-              List.for_all (fun v -> List.mem v members) (Digraph.successors g u))
+              let inside = ref true in
+              Digraph.iter_successors g u (fun v ->
+                  if not (List.mem v members) then inside := false);
+              !inside)
             members)
         bsccs)
 
@@ -975,8 +1064,13 @@ let () =
           Alcotest.test_case "deep chain (iterative tarjan)" `Slow
             test_scc_deep_chain_no_overflow;
           Alcotest.test_case "reachability" `Quick test_reachability;
+          Alcotest.test_case "matrix view numbering" `Quick test_scc_of_sparse_order;
         ]
-        @ qsuite [ prop_condensation_acyclic; prop_bottom_sccs_have_no_exit ] );
+        @ qsuite
+            [
+              prop_sccs_match_oracle; prop_condensation_acyclic;
+              prop_bottom_sccs_have_no_exit;
+            ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

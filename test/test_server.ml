@@ -659,6 +659,97 @@ let test_flight_dump_on_reject () =
     (contains dump "flight.dump" && contains dump "http_422")
 
 (* ------------------------------------------------------------------ *)
+(* Wire layer over a socketpair: [write] runs in a thread so the reader
+   and the writer overlap, as they do on a real connection. A reader that
+   rejects early closes its end under a writer still writing, so SIGPIPE
+   is ignored (the daemon does the same) and the write error dropped. *)
+
+let with_socketpair write read =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close a)
+          (fun () -> try write a with Unix.Unix_error _ -> ()))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close b;
+      Thread.join writer)
+    (fun () -> read (Http.conn b))
+
+let write_string fd s =
+  let n = String.length s in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
+  go 0
+
+let post_head len =
+  Printf.sprintf "POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" len
+
+let test_large_body_linear () =
+  let len = 16 * 1024 * 1024 in
+  let body = String.init len (fun i -> Char.chr (i * 7919 land 255)) in
+  let t0 = Unix.gettimeofday () in
+  let req =
+    with_socketpair
+      (fun fd ->
+        write_string fd (post_head len);
+        write_string fd body)
+      Http.read_request
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  match req with
+  | None -> Alcotest.fail "no request read"
+  | Some r ->
+      Alcotest.(check int) "body length" len (String.length r.Http.body);
+      Alcotest.(check bool) "body byte-identical" true (String.equal body r.Http.body);
+      Alcotest.(check bool) (Printf.sprintf "read in %.2f s < 2 s" dt) true (dt < 2.)
+
+let test_head_split_and_keep_alive () =
+  (* the head arrives a few bytes at a time, so its blank line straddles
+     reads; a second request follows in the same stream *)
+  let one = post_head 5 ^ "hello" and two = "GET /health HTTP/1.1\r\nHost: x\r\n\r\n" in
+  let stream = one ^ two in
+  let reqs =
+    with_socketpair
+      (fun fd ->
+        String.iteri
+          (fun i _ ->
+            if i mod 3 = 0 then
+              write_string fd (String.sub stream i (min 3 (String.length stream - i))))
+          stream)
+      (fun c ->
+        let r1 = Http.read_request c in
+        let r2 = Http.read_request c in
+        let r3 = Http.read_request c in
+        (r1, r2, r3))
+  in
+  match reqs with
+  | Some r1, Some r2, None ->
+      Alcotest.(check string) "first body" "hello" r1.Http.body;
+      Alcotest.(check string) "second path" "/health" r2.Http.path;
+      Alcotest.(check string) "second body" "" r2.Http.body
+  | _ -> Alcotest.fail "expected two requests then EOF"
+
+let test_wire_limits () =
+  let rejects what write =
+    match with_socketpair write Http.read_request with
+    | _ -> Alcotest.failf "%s: expected Bad_request" what
+    | exception Http.Bad_request msg -> msg
+  in
+  Alcotest.(check string) "head limit" "request head too large"
+    (rejects "head" (fun fd ->
+         write_string fd "GET / HTTP/1.1\r\n";
+         write_string fd (String.make (80 * 1024) 'x')));
+  Alcotest.(check string) "body limit" "request body too large"
+    (rejects "body" (fun fd -> write_string fd (post_head ((64 * 1024 * 1024) + 1))));
+  Alcotest.(check string) "short body" "connection closed mid-body"
+    (rejects "short" (fun fd -> write_string fd (post_head 10 ^ "abc")))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "server"
@@ -671,6 +762,14 @@ let () =
           Alcotest.test_case "non-finite numbers print null" `Quick
             test_json_non_finite;
           Alcotest.test_case "nesting depth bound" `Quick test_json_depth;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "16 MiB body reads in linear time" `Quick
+            test_large_body_linear;
+          Alcotest.test_case "split head and keep-alive" `Quick
+            test_head_split_and_keep_alive;
+          Alcotest.test_case "head and body limits" `Quick test_wire_limits;
         ] );
       ( "protocol",
         [
